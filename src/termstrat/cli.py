@@ -94,13 +94,15 @@ def _load(path: str) -> Theory:
             text = fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})")
     try:
         return load_theory(text)
     except ParseError as e:
         raise ParseError(f"{path}:{e}") from e
 
 
-def _strategy_for(name: str, th: Theory, rs):
+def _strategy_for(name: str, rs):
     if name == "innermost":
         return innermost(rs)
     if name == "rightmost-innermost":
@@ -127,7 +129,7 @@ def cmd_eval(ns) -> int:
 def cmd_normalize(ns) -> int:
     th = _load(ns.file)
     term = parse_term(ns.term, th.signature)
-    zeta = _strategy_for(ns.intensional, th, th.rules)
+    zeta = _strategy_for(ns.intensional, th.rules)
     try:
         forms = normal_forms_under(zeta, term, ns.fuel)
     except FuelExhausted as e:
@@ -143,7 +145,7 @@ def cmd_derive(ns) -> int:
     term = parse_term(ns.term, th.signature)
     if ns.depth < 0:
         raise ParseError("--depth must be nonnegative")
-    zeta = _strategy_for(ns.intensional, th, th.rules)
+    zeta = _strategy_for(ns.intensional, th.rules)
     ds = extension(zeta, term, ns.depth)
     ordered = sorted(ds, key=print_derivation)
     if ns.json:

@@ -38,6 +38,10 @@ class ArityError(TermstratError):
     """A symbol, rule, or proof constructor applied to the wrong number of arguments."""
 
 
+class ParseArityError(ParseError, ArityError):
+    """A wrong argument count in input text, reported at the head symbol."""
+
+
 class InvalidPosition(TermstratError):
     """A position that does not denote a node of the term at hand."""
 

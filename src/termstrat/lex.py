@@ -1,22 +1,38 @@
-"""Tiny shared lexer for term, rule, proof, and strategy syntax.
+"""The shared text front end for term, rule, proof, and strategy syntax.
 
 Tokens: identifiers ([A-Za-z][A-Za-z0-9_]*), numerals ([0-9]+), and the
 punctuation used by the concrete grammars.  `#` starts a comment running to
 end of line.  Whitespace separates tokens and is otherwise insignificant.
+
+Every grammar builds on `Lexer.application`, which reads `head` or
+`head(arg, ...)`, and on `Lexer.check_arity`, which reports a wrong argument
+count at the head's line and column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import ParseArityError, ParseError
 
-PUNCT = ("=>", "(", ")", ",", ";", ".", ":", "=", "/")
+# One alternative per token class; the first that matches at a position wins.
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+    | (?P<num>[0-9]+)
+    | (?P<punct>=>|[(),;.:=/])
+    | (?P<newline>\n)
+    | (?P<space>[^\S\n]+)
+    | (?P<comment>\#[^\n]*)
+    | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident", "num", one of PUNCT, or "end"
+class Token(NamedTuple):
+    kind: str  # "ident", "num", the punctuation text itself, or "end"
     text: str
     line: int
     col: int
@@ -26,7 +42,7 @@ class Lexer:
     """Cursor over the token stream of a piece of source text."""
 
     def __init__(self, text: str, line: int = 1):
-        self._tokens = list(_tokenize(text, line))
+        self._tokens = _tokenize(text, line)
         self._index = 0
 
     def peek(self) -> Token:
@@ -59,13 +75,39 @@ class Lexer:
         tok = self.peek()
         return ParseError(message, tok.line, tok.col)
 
+    def application(
+        self, what: str, parse_arg, parens: bool = False
+    ) -> tuple[Token, list | None]:
+        """Parse `head` or `head(arg, ...)`; the head is an identifier or numeral.
 
-def _is_letter(c: str) -> bool:
-    return "a" <= c <= "z" or "A" <= c <= "Z"
+        `parse_arg` parses one argument from this lexer.  The argument list
+        is None when no parentheses follow the head, so `a` and `a()` can be
+        told apart; with `parens` the parentheses are required.
+        """
+        head = self.peek()
+        if head.kind != "ident" and head.kind != "num":
+            raise ParseError(f"expected {what}, found {_describe(head)}", head.line, head.col)
+        self.next()
+        if parens:
+            self.expect("(")
+        elif not self.accept("("):
+            return head, None
+        args = []
+        if not self.accept(")"):
+            args.append(parse_arg())
+            while self.accept(","):
+                args.append(parse_arg())
+            self.expect(")")
+        return head, args
 
-
-def _is_digit(c: str) -> bool:
-    return "0" <= c <= "9"
+    @staticmethod
+    def check_arity(head: Token, expected: int, args: list | None) -> None:
+        """Raise ParseArityError at `head` unless `args` has `expected` entries."""
+        got = len(args) if args else 0
+        if got != expected:
+            raise ParseArityError(
+                f"{head.text} expects {expected} argument(s), got {got}", head.line, head.col
+            )
 
 
 def _describe(tok: Token) -> str:
@@ -74,49 +116,27 @@ def _describe(tok: Token) -> str:
     return f"'{tok.text}'"
 
 
-def _tokenize(text: str, line: int):
-    i, col = 0, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+def _tokenize(text: str, line: int) -> list[Token]:
+    tokens = []
+    line_start = 0  # offset of the current line's first character
+    end = len(text)  # the end token's offset: a trailing comment keeps it at '#'
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        start = m.start()
+        if kind == "ident" or kind == "num":
+            tokens.append(Token(kind, m.group(), line, start - line_start + 1))
+        elif kind == "punct":
+            punct = m.group()
+            tokens.append(Token(punct, punct, line, start - line_start + 1))
+        elif kind == "newline":
             line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if _is_letter(c):
-            j = i
-            while j < n and (_is_letter(text[j]) or _is_digit(text[j]) or text[j] == "_"):
-                j += 1
-            yield Token("ident", text[i:j], line, col)
-            col += j - i
-            i = j
-            continue
-        if _is_digit(c):
-            j = i
-            while j < n and _is_digit(text[j]):
-                j += 1
-            yield Token("num", text[i:j], line, col)
-            col += j - i
-            i = j
-            continue
-        if text.startswith("=>", i):
-            yield Token("=>", "=>", line, col)
-            i += 2
-            col += 2
-            continue
-        if c in "(),;.:=/":
-            yield Token(c, c, line, col)
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    yield Token("end", "", line, col)
+            line_start = start + 1
+        elif kind == "comment":
+            if m.end() == len(text):
+                end = start
+        elif kind == "bad":
+            raise ParseError(
+                f"unexpected character {m.group()!r}", line, start - line_start + 1
+            )
+    tokens.append(Token("end", "", line, end - line_start + 1))
+    return tokens

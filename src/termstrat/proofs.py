@@ -147,18 +147,24 @@ def infer(pi: ProofTerm, rs: RuleSet) -> Sequent:
             if sa.target != sb.source:
                 raise ComposeError(sa.target, sb.source)
             return Sequent(sa.source, sb.target)
-        case Repl(rule_label=label, args=args):
-            rule = rs.lookup(label)
-            if len(args) != len(rule.params):
-                raise ArityError(
-                    f"rule {label} has {len(rule.params)} parameter(s), "
-                    f"got {len(args)} argument(s)"
-                )
+        case Repl(args=args):
+            rule = _rule_of(pi, rs)
             seqs = [infer(a, rs) for a in args]
             src = Substitution.of(dict(zip(rule.params, (s.source for s in seqs))))
             tgt = Substitution.of(dict(zip(rule.params, (s.target for s in seqs))))
             return Sequent(apply_subst(src, rule.lhs), apply_subst(tgt, rule.rhs))
     raise TypeError(f"not a proof term: {pi!r}")
+
+
+def _rule_of(pi: Repl, rs: RuleSet):
+    """The rule `pi` applies, once its argument count matches the parameters."""
+    rule = rs.lookup(pi.rule_label)
+    if len(pi.args) != len(rule.params):
+        raise ArityError(
+            f"rule {pi.rule_label} has {len(rule.params)} parameter(s), "
+            f"got {len(pi.args)} argument(s)"
+        )
+    return rule
 
 
 def check(pi: ProofTerm, t: Term, t2: Term, rs: RuleSet) -> bool:
@@ -223,12 +229,7 @@ def to_derivation(pi: ProofTerm, rs: RuleSet) -> Derivation:
                 d = _replay_inside(d, Position((i,)), sub, rs)
             return d
         case Repl(rule_label=label, args=args):
-            rule = rs.lookup(label)
-            if len(args) != len(rule.params):
-                raise ArityError(
-                    f"rule {label} has {len(rule.params)} parameter(s), "
-                    f"got {len(args)} argument(s)"
-                )
+            rule = _rule_of(pi, rs)
             subs = [to_derivation(a, rs) for a in args]
             src = Substitution.of(dict(zip(rule.params, (s.source for s in subs))))
             d = Derivation(apply_subst(src, rule.lhs))
@@ -293,43 +294,22 @@ def _parse_atom(lexer: Lexer, rs: RuleSet, sig: Signature) -> ProofTerm:
         lexer.expect(")")
         return inner
     tok = lexer.peek()
-    if tok.kind not in ("ident", "num"):
-        raise lexer.error(
-            f"expected a proof term, found '{tok.text or 'end of input'}'"
-        )
-    lexer.next()
-    name = tok.text
-    is_label = name in rs
-    sym = sig.lookup(name)
-    if is_label and sym is not None:
+    if tok.text in rs and sig.lookup(tok.text) is not None:
         raise AmbiguousIdent(
-            f"{name!r} is both a rule label and a symbol", tok.line, tok.col
+            f"{tok.text!r} is both a rule label and a symbol", tok.line, tok.col
         )
-    args: list[ProofTerm] = []
-    if lexer.accept("("):
-        if not lexer.accept(")"):
-            args.append(_parse_seq(lexer, rs, sig))
-            while lexer.accept(","):
-                args.append(_parse_seq(lexer, rs, sig))
-            lexer.expect(")")
-    if is_label:
-        rule = rs.lookup(name)
-        if len(args) != len(rule.params):
-            raise ArityError(
-                f"rule {name} has {len(rule.params)} parameter(s), got "
-                f"{len(args)} at {tok.line}:{tok.col}"
-            )
-        return Repl(name, tuple(args))
+    head, args = lexer.application("a proof term", lambda: _parse_seq(lexer, rs, sig))
+    name = head.text
+    if name in rs:
+        lexer.check_arity(head, len(rs.lookup(name).params), args)
+        return Repl(name, tuple(args or ()))
+    sym = sig.lookup(name)
     if sym is not None:
-        if len(args) != sym.arity:
-            raise ArityError(
-                f"{name} expects {sym.arity} argument(s), got {len(args)} "
-                f"at {tok.line}:{tok.col}"
-            )
-        return cong(sym, args)
-    if args or tok.kind == "num":
+        lexer.check_arity(head, sym.arity, args)
+        return cong(sym, args or ())
+    if args or head.kind == "num":
         raise UnknownSymbol(
-            f"{name!r} is neither a rule label nor a symbol", tok.line, tok.col
+            f"{name!r} is neither a rule label nor a symbol", head.line, head.col
         )
     return Embed(Var(name))
 

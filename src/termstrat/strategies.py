@@ -6,10 +6,10 @@ A strategy applied to a term either produces a term (`Value`) or fails
 evaluation was cut off before reaching an answer, raises `FuelExhausted`,
 and is never converted into failure.
 
-Recursion is written with `mu`; `repeat(s)` abbreviates
-`mu X . try(seq(s, X))`.  Every combinator evaluation consumes one unit of
-fuel, so any divergent strategy (say `repeat(id)`) exhausts any finite
-budget.
+Recursion is written with `mu`; `repeat(s)` means `mu X . try(seq(s, X))`.
+It is evaluated natively, as a loop, but charged exactly as that unfolding.
+Every combinator evaluation consumes one unit of fuel, so any divergent
+strategy (say `repeat(id)`) exhausts any finite budget.
 
 Concrete syntax:
 
@@ -20,8 +20,9 @@ Concrete syntax:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import FuelExhausted, ParseError, UnboundSVar
+from .errors import FuelExhausted, UnboundSVar
 from .lex import Lexer
 from .rules import RuleSet
 from .terms import (
@@ -207,8 +208,17 @@ def _eval(s: StrategyExpr, t: Term, rs: RuleSet, fuel: _Fuel, env: dict) -> Eval
             branch = a if r != STK else b
             return _eval(branch, t, rs, fuel, env)
         case Repeat(s=inner):
-            unfolded = Mu("__repeat", Try(Seq(inner, SVar("__repeat"))))
-            return _eval(unfolded, t, rs, fuel, env)
+            # Charged as the unfolding mu X . try(seq(inner, X)): one unit
+            # for the mu, two per attempt (try, seq), one per success (X).
+            fuel.spend()
+            while True:
+                fuel.spend()
+                fuel.spend()
+                r = _eval(inner, t, rs, fuel, env)
+                if r == STK:
+                    return Value(t)
+                fuel.spend()
+                t = r.term
         case Mu(var=x, body=body):
             return _eval(body, t, rs, fuel, {**env, x: (s, env)})
         case SVar(var=x):
@@ -244,7 +254,20 @@ def forbidden_strategy(g: Term) -> StrategyExpr:
     return IfTE(Occurs(g), Fail(), Id())
 
 
-_KEYWORDS = ("id", "fail", "seq", "first", "try", "not", "ifTE", "repeat", "mu", "occurs")
+# Keyword -> (constructor, arity).  `mu X . s` has its own syntax; it is
+# listed so that `mu` is reserved like the others.
+_KEYWORDS = {
+    "id": (Id, 0),
+    "fail": (Fail, 0),
+    "seq": (Seq, 2),
+    "first": (First, 2),
+    "try": (Try, 1),
+    "not": (Not, 1),
+    "ifTE": (IfTE, 3),
+    "repeat": (Repeat, 1),
+    "occurs": (Occurs, 1),
+    "mu": (Mu, 2),
+}
 
 
 def parse_strategy(
@@ -265,58 +288,26 @@ def parse_strategy(
 def parse_strategy_tokens(
     lexer: Lexer, rs: RuleSet, sig: Signature, named: dict, bound: frozenset = frozenset()
 ) -> StrategyExpr:
-    tok = lexer.peek()
-    if tok.kind != "ident":
-        raise lexer.error(
-            f"expected a strategy, found '{tok.text or 'end of input'}'"
-        )
-    name = tok.text
-
-    def args(n: int) -> list[StrategyExpr]:
+    name = lexer.peek().text
+    ctor, arity = _KEYWORDS.get(name, (None, 0))
+    if ctor is Mu:
         lexer.next()
-        lexer.expect("(")
-        out = [parse_strategy_tokens(lexer, rs, sig, named, bound)]
-        while lexer.accept(","):
-            out.append(parse_strategy_tokens(lexer, rs, sig, named, bound))
-        lexer.expect(")")
-        if len(out) != n:
-            raise lexer.error(f"{name} takes {n} argument(s), got {len(out)}")
-        return out
-
-    match name:
-        case "id":
-            lexer.next()
-            return Id()
-        case "fail":
-            lexer.next()
-            return Fail()
-        case "seq":
-            return Seq(*args(2))
-        case "first":
-            return First(*args(2))
-        case "try":
-            return Try(*args(1))
-        case "not":
-            return Not(*args(1))
-        case "ifTE":
-            return IfTE(*args(3))
-        case "repeat":
-            return Repeat(*args(1))
-        case "occurs":
-            lexer.next()
-            lexer.expect("(")
-            pattern = parse_term_tokens(lexer, sig)
-            lexer.expect(")")
-            return Occurs(pattern)
-        case "mu":
-            lexer.next()
-            var = lexer.expect("ident", "recursion variable").text
-            if var in _KEYWORDS:
-                raise lexer.error(f"{var!r} is reserved and cannot be bound by mu")
-            lexer.expect(".")
-            body = parse_strategy_tokens(lexer, rs, sig, named, bound | {var})
-            return Mu(var, body)
-    lexer.next()
+        var = lexer.expect("ident", "recursion variable").text
+        if var in _KEYWORDS:
+            raise lexer.error(f"{var!r} is reserved and cannot be bound by mu")
+        lexer.expect(".")
+        return Mu(var, parse_strategy_tokens(lexer, rs, sig, named, bound | {var}))
+    if arity:
+        if ctor is Occurs:
+            parse_arg = partial(parse_term_tokens, lexer, sig)
+        else:
+            parse_arg = partial(parse_strategy_tokens, lexer, rs, sig, named, bound)
+        head, args = lexer.application("a strategy", parse_arg, parens=True)
+        lexer.check_arity(head, arity, args)
+        return ctor(*args)
+    tok = lexer.expect("ident", "a strategy")
+    if ctor is not None:
+        return ctor()
     if name in bound:
         return SVar(name)
     if name in rs:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ArityError, InvalidPosition, ParseError, UnknownSymbol
+from .errors import ArityError, InvalidPosition, UnknownSymbol
 from .lex import Lexer
 
 NAME_RE = re.compile(r"(?:[A-Za-z][A-Za-z0-9_]*|[0-9]+)\Z")
@@ -284,37 +284,18 @@ def parse_term(text: str, sig: Signature) -> Term:
 
 def parse_term_tokens(lexer: Lexer, sig: Signature) -> Term:
     """Parse one term from an open token stream (shared by the file formats)."""
-    tok = lexer.peek()
-    if tok.kind not in ("ident", "num"):
-        raise lexer.error(f"expected a term, found '{tok.text or 'end of input'}'")
-    lexer.next()
-    name = tok.text
-    if lexer.accept("("):
-        args = []
-        if not lexer.accept(")"):
-            args.append(parse_term_tokens(lexer, sig))
-            while lexer.accept(","):
-                args.append(parse_term_tokens(lexer, sig))
-            lexer.expect(")")
-        sym = sig.lookup(name)
-        if sym is None:
-            raise UnknownSymbol(f"undeclared symbol {name!r}", tok.line, tok.col)
-        if sym.arity != len(args):
-            raise ArityError(
-                f"{name} expects {sym.arity} argument(s), got {len(args)} "
-                f"at {tok.line}:{tok.col}"
+    head, args = lexer.application("a term", lambda: parse_term_tokens(lexer, sig))
+    sym = sig.lookup(head.text)
+    if sym is None:
+        if args is not None:
+            raise UnknownSymbol(f"undeclared symbol {head.text!r}", head.line, head.col)
+        if head.kind == "num":
+            raise UnknownSymbol(
+                f"undeclared numeral constant {head.text!r}", head.line, head.col
             )
-        return App(sym, tuple(args))
-    sym = sig.lookup(name)
-    if sym is not None:
-        if sym.arity != 0:
-            raise ArityError(
-                f"{name} expects {sym.arity} argument(s), got 0 at {tok.line}:{tok.col}"
-            )
-        return App(sym, ())
-    if tok.kind == "num":
-        raise UnknownSymbol(f"undeclared numeral constant {name!r}", tok.line, tok.col)
-    return Var(name)
+        return Var(head.text)
+    lexer.check_arity(head, sym.arity, args)
+    return App(sym, tuple(args or ()))
 
 
 def print_term(t: Term) -> str:

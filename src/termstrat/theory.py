@@ -34,20 +34,18 @@ def load_theory(text: str) -> Theory:
     """Parse a whole theory file; any defect aborts with line:col."""
     th = Theory()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
         lexer = Lexer(raw, line=lineno)
+        if lexer.peek().kind == "end":
+            continue
         head = lexer.expect("ident", "declaration keyword")
         if head.text == "sig":
             _sig_line(lexer, th)
         elif head.text == "rule":
             rule = parse_rule_line(lexer, th.signature)
-            if rule.label in th.rules:
-                raise ParseError(
-                    f"rule label {rule.label} declared twice", head.line, head.col
-                )
-            th.rules.add(rule)
+            try:
+                th.rules.add(rule)
+            except ValueError as e:
+                raise ParseError(str(e), head.line, head.col) from e
         elif head.text == "strat":
             _strat_line(lexer, th)
         else:
@@ -66,13 +64,10 @@ def _sig_line(lexer: Lexer, th: Theory) -> None:
         tok = lexer.next()
         lexer.expect("/")
         arity_tok = lexer.expect("num", "arity")
-        sym = Symbol(tok.text, int(arity_tok.text))
-        old = th.signature.lookup(sym.name)
-        if old is not None and old != sym:
-            raise ParseError(
-                f"symbol {sym.name} already declared as {old}", tok.line, tok.col
-            )
-        th.signature.add(sym)
+        try:
+            th.signature.add(Symbol(tok.text, int(arity_tok.text)))
+        except ValueError as e:
+            raise ParseError(str(e), tok.line, tok.col) from e
         saw_any = True
     if not saw_any:
         raise lexer.error("expected at least one name/arity pair")

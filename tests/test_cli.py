@@ -66,6 +66,22 @@ class TestExitCodes:
         )
         assert proc.returncode == 3 and "cannot read" in proc.stderr
 
+    def test_theory_file_not_utf8(self, tmp_path):
+        bad = tmp_path / "latin1.trs"
+        bad.write_bytes(b"sig a/0\n# caf\xe9\n")
+        proc = run_cli(
+            ["eval", "--file", str(bad), "--strategy", "id", "--term", "a"]
+        )
+        assert proc.returncode == 3 and "cannot read" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_divergent_repeat_at_default_fuel(self):
+        proc = run_cli(
+            ["eval", "--file", "docs/rex.trs", "--strategy", "repeat(id)", "--term", "a"]
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+
     def test_theory_error_cites_location(self, tmp_path):
         bad = tmp_path / "bad.trs"
         bad.write_text("sig a/0\nrule r : a => zap(a)\n")

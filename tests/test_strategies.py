@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termstrat import (
@@ -167,6 +167,25 @@ class TestRecursion:
         with pytest.raises(UnboundSVar):
             ev(rex, SVar("X"), t(rex, "a"))
 
+    def test_repeat_binds_no_variable(self, rex):
+        with pytest.raises(UnboundSVar):
+            ev(rex, Repeat(SVar("__repeat")), t(rex, "a"), fuel=50)
+
+    def test_repeat_divergence_is_bounded_by_fuel(self, rex):
+        with pytest.raises(FuelExhausted):
+            ev(rex, Repeat(Id()), t(rex, "a"))
+
+    @pytest.mark.parametrize("n, spent", [(1, 18), (5, 62), (50, 557)])
+    def test_repeat_exact_cost(self, rex, n, spent):
+        # Charged as mu X . try(seq(first(r3,r2), X)): 11 units per f
+        # (two successful attempts), 7 for the mu and the final attempt.
+        assert spent == 11 * n + 7
+        unwrap = Repeat(First(RuleRef("r3"), RuleRef("r2")))
+        term = t(rex, "f(" * n + "a" + ")" * n)
+        assert ev(rex, unwrap, term, fuel=spent) == Value(t(rex, "a"))
+        with pytest.raises(FuelExhausted):
+            ev(rex, unwrap, term, fuel=spent - 1)
+
 
 class TestOccursAndIdioms:
     def test_check_invariant_nested(self, rex):
@@ -264,7 +283,39 @@ class TestParsePrint:
             assert parse_strategy(text, rex.rules, rex.signature) == expr
 
 
+EXHAUSTED = "fuel exhausted"
+
+
+def outcome(rex, s, term, fuel):
+    """The result of `s` on `term` within `fuel`, or EXHAUSTED."""
+    try:
+        return ev(rex, s, term, fuel)
+    except FuelExhausted:
+        return EXHAUSTED
+
+
+def cost(rex, s, term, cap):
+    """The exact fuel `s` spends on `term`, or None when it needs more than `cap`."""
+    if outcome(rex, s, term, cap) == EXHAUSTED:
+        return None
+    lo, hi = 0, cap  # runs out at lo, finishes at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if outcome(rex, s, term, mid) == EXHAUSTED:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 class TestLaws:
+    """Algebraic laws with exact fuel offsets.
+
+    Each combinator node costs one unit of fuel, so both sides of a law are
+    compared at budgets that differ by the nodes one side adds; running out
+    of fuel is an outcome that must agree too, never a discarded example.
+    """
+
     @given(data=st.data())
     @settings(max_examples=120, deadline=None)
     def test_try_fail_is_identity(self, rex, rex_exprs, data):
@@ -277,88 +328,97 @@ class TestLaws:
     def test_first_fail_left_unit(self, rex, rex_exprs, data):
         exprs, terms = rex_exprs
         s, term = data.draw(exprs), data.draw(terms)
-        try:
-            lhs = ev(rex, First(Fail(), s), term, fuel=400)
-            rhs = ev(rex, s, term, fuel=400)
-        except FuelExhausted:
-            assume(False)
-        assert lhs == rhs
+        # First and Fail add one unit each.
+        assert outcome(rex, First(Fail(), s), term, 402) == outcome(rex, s, term, 400)
 
     @given(data=st.data())
     @settings(max_examples=120, deadline=None)
     def test_first_fail_right_unit(self, rex, rex_exprs, data):
         exprs, terms = rex_exprs
         s, term = data.draw(exprs), data.draw(terms)
-        try:
-            lhs = ev(rex, First(s, Fail()), term, fuel=400)
-            rhs = ev(rex, s, term, fuel=400)
-        except FuelExhausted:
-            assume(False)
-        assert lhs == rhs
+        base = outcome(rex, s, term, 400)
+        # First adds one unit; Fail runs only after s fails.
+        extra = 2 if base == STK else 1
+        assert outcome(rex, First(s, Fail()), term, 400 + extra) == base
 
     @given(data=st.data())
     @settings(max_examples=120, deadline=None)
     def test_seq_id_units(self, rex, rex_exprs, data):
         exprs, terms = rex_exprs
         s, term = data.draw(exprs), data.draw(terms)
-        try:
-            base = ev(rex, s, term, fuel=400)
-            left = ev(rex, Seq(Id(), s), term, fuel=400)
-            right = ev(rex, Seq(s, Id()), term, fuel=400)
-        except FuelExhausted:
-            assume(False)
-        assert left == base == right
+        base = outcome(rex, s, term, 400)
+        assert outcome(rex, Seq(Id(), s), term, 402) == base
+        # The trailing Id runs only after s succeeds.
+        extra = 2 if isinstance(base, Value) else 1
+        assert outcome(rex, Seq(s, Id()), term, 400 + extra) == base
 
     @given(data=st.data())
     @settings(max_examples=120, deadline=None)
     def test_double_negation(self, rex, rex_exprs, data):
         exprs, terms = rex_exprs
         s, term = data.draw(exprs), data.draw(terms)
-        try:
-            base = ev(rex, s, term, fuel=400)
-            doubled = ev(rex, Not(Not(s)), term, fuel=400)
-        except FuelExhausted:
-            assume(False)
-        assert doubled == (Value(term) if base != STK else STK)
+        base = outcome(rex, s, term, 400)
+        want = base if base in (STK, EXHAUSTED) else Value(term)
+        assert outcome(rex, Not(Not(s)), term, 402) == want
 
     @given(data=st.data())
     @settings(max_examples=120, deadline=None)
     def test_seq_stk_absorption(self, rex, rex_exprs, data):
         exprs, terms = rex_exprs
         s1, s2, term = data.draw(exprs), data.draw(exprs), data.draw(terms)
-        try:
-            if ev(rex, s1, term, fuel=400) != STK:
-                assume(False)
-            assert ev(rex, Seq(s1, s2), term, fuel=800) == STK
-        except FuelExhausted:
-            assume(False)
+        seq = Seq(s1, s2)
+        c1 = cost(rex, s1, term, 400)
+        if c1 is None:
+            assert outcome(rex, seq, term, 401) == EXHAUSTED
+            return
+        first = ev(rex, s1, term, c1)
+        if first == STK:
+            # stk absorbs: s2 never runs, and Seq adds exactly one unit.
+            assert outcome(rex, seq, term, c1 + 1) == STK
+            assert outcome(rex, seq, term, c1) == EXHAUSTED
+            return
+        c2 = cost(rex, s2, first.term, 400)
+        if c2 is None:
+            assert outcome(rex, seq, term, c1 + 401) == EXHAUSTED
+            return
+        assert outcome(rex, seq, term, c1 + c2 + 1) == ev(rex, s2, first.term, c2)
+        assert outcome(rex, seq, term, c1 + c2) == EXHAUSTED
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_repeat_postcondition(self, rex, rex_exprs, data):
         exprs, terms = rex_exprs
         s, term = data.draw(exprs), data.draw(terms)
-        try:
-            result = ev(rex, Repeat(s), term, fuel=600)
-        except FuelExhausted:
-            assume(False)
-        if result != STK:
-            try:
-                assert ev(rex, s, result.term, fuel=600) == STK
-            except FuelExhausted:
-                assume(False)
+        result = outcome(rex, Repeat(s), term, 600)
+        if result != EXHAUSTED:
+            # The last attempt of s failed within the budget left after the
+            # repeat and mu units and the attempt's try and seq units.
+            assert ev(rex, s, result.term, 596) == STK
+            return
+        # Repeat(s) costs 4 + c0 when s fails at cost c0, and 3 + c0 plus
+        # the cost of Repeat(s) on the result when s succeeds.
+        c0 = cost(rex, s, term, 596)
+        if c0 is None:
+            return
+        first = ev(rex, s, term, c0)
+        assert first != STK
+        assert outcome(rex, Repeat(s), first.term, 597 - c0) == EXHAUSTED
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_repeat_fixpoint(self, rex, rex_exprs, data):
         exprs, terms = rex_exprs
         s, term = data.draw(exprs), data.draw(terms)
-        try:
-            lhs = ev(rex, Repeat(s), term, fuel=600)
-            rhs = ev(rex, Try(Seq(s, Repeat(s))), term, fuel=700)
-        except FuelExhausted:
-            assume(False)
-        assert lhs == rhs
+        unfolded = Try(Seq(s, Repeat(s)))
+        spent = cost(rex, Repeat(s), term, 600)
+        # Repeat(s) costs 1 more than its unfolding when s succeeds first,
+        # 2 more when s fails at once.
+        if spent is None:
+            assert outcome(rex, unfolded, term, 598) == EXHAUSTED
+            return
+        extra = 2 if ev(rex, s, term, spent) == STK else 1
+        assert cost(rex, unfolded, term, 600) == spent - extra
+        assert ev(rex, unfolded, term, spent - extra) == ev(rex, Repeat(s), term, spent)
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -366,9 +426,9 @@ class TestLaws:
         exprs, terms = rex_exprs
         s, term = data.draw(exprs), data.draw(terms)
         n = data.draw(st.integers(min_value=1, max_value=300))
-        try:
-            small = ev(rex, s, term, fuel=n)
-        except FuelExhausted:
-            assume(False)
-        assert ev(rex, s, term, fuel=2 * n) == small
-        assert ev(rex, s, term, fuel=10 * n) == small
+        small = outcome(rex, s, term, n)
+        if small == EXHAUSTED:
+            assert outcome(rex, s, term, n // 2) == EXHAUSTED
+        else:
+            assert ev(rex, s, term, fuel=2 * n) == small
+            assert ev(rex, s, term, fuel=10 * n) == small
