@@ -61,15 +61,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--file", required=True, help="theory file (sig/rule/strat lines)")
+
+    def fuel(p):
         p.add_argument("--fuel", type=int, default=10000, help="evaluation budget (default 10000)")
 
     p_eval = sub.add_parser("eval", help="apply a strategy to a term")
     common(p_eval)
+    fuel(p_eval)
     p_eval.add_argument("--strategy", required=True, help="strategy expression or declared name")
     p_eval.add_argument("--term", required=True)
 
     p_norm = sub.add_parser("normalize", help="normal forms under a built-in strategy")
     common(p_norm)
+    fuel(p_norm)
     p_norm.add_argument("--term", required=True)
     p_norm.add_argument("--intensional", choices=_INTENSIONAL, default="all")
 
@@ -147,12 +151,12 @@ def cmd_derive(ns) -> int:
         raise ParseError("--depth must be nonnegative")
     zeta = _strategy_for(ns.intensional, th.rules)
     ds = extension(zeta, term, ns.depth)
-    ordered = sorted(ds, key=print_derivation)
     if ns.json:
+        ordered = sorted(ds, key=print_derivation)
         print(json.dumps([derivation_to_json(d) for d in ordered], indent=2))
     else:
-        for d in ordered:
-            print(print_derivation(d))
+        for line in sorted(map(print_derivation, ds)):
+            print(line)
     return 0
 
 
@@ -198,10 +202,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _COMMANDS[ns.command](ns)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (ArityError, UnknownLabel) as e:
+    except (ParseError, ArityError, UnknownLabel) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

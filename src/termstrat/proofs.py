@@ -21,6 +21,7 @@ themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .ars import Derivation
 from .errors import (
@@ -31,7 +32,7 @@ from .errors import (
     UnknownSymbol,
 )
 from .lex import Lexer
-from .rules import RuleSet, StepLabel, apply_step
+from .rules import Rule, RuleSet, StepLabel, rewrite_at
 from .terms import (
     App,
     Position,
@@ -41,7 +42,6 @@ from .terms import (
     Term,
     Var,
     apply_subst,
-    match,
     print_term,
     subterm_at,
     subterms,
@@ -141,14 +141,22 @@ def infer(pi: ProofTerm, rs: RuleSet) -> Sequent:
                 App(f, tuple(s.source for s in seqs)),
                 App(f, tuple(s.target for s in seqs)),
             )
-        case Trans(first=a, second=b):
-            sa = infer(a, rs)
-            sb = infer(b, rs)
-            if sa.target != sb.source:
-                raise ComposeError(sa.target, sb.source)
-            return Sequent(sa.source, sb.target)
-        case Repl(args=args):
-            rule = _rule_of(pi, rs)
+        case Trans():
+            first, *rest = _chain(pi)
+            seq = infer(first, rs)
+            for part in rest:
+                nxt = infer(part, rs)
+                if seq.target != nxt.source:
+                    raise ComposeError(seq.target, nxt.source)
+                seq = Sequent(seq.source, nxt.target)
+            return seq
+        case Repl(rule_label=label, args=args):
+            rule = rs.lookup(label)
+            if len(args) != len(rule.params):
+                raise ArityError(
+                    f"rule {label} has {len(rule.params)} parameter(s), "
+                    f"got {len(args)} argument(s)"
+                )
             seqs = [infer(a, rs) for a in args]
             src = Substitution.of(dict(zip(rule.params, (s.source for s in seqs))))
             tgt = Substitution.of(dict(zip(rule.params, (s.target for s in seqs))))
@@ -156,15 +164,16 @@ def infer(pi: ProofTerm, rs: RuleSet) -> Sequent:
     raise TypeError(f"not a proof term: {pi!r}")
 
 
-def _rule_of(pi: Repl, rs: RuleSet):
-    """The rule `pi` applies, once its argument count matches the parameters."""
-    rule = rs.lookup(pi.rule_label)
-    if len(pi.args) != len(rule.params):
-        raise ArityError(
-            f"rule {pi.rule_label} has {len(rule.params)} parameter(s), "
-            f"got {len(pi.args)} argument(s)"
-        )
-    return rule
+def _chain(pi: Trans) -> list:
+    """The operands of the `;` chain `pi`, found by a loop down its left spine.
+
+    A parenthesised right operand is itself a chain and is returned whole.
+    """
+    rights = []
+    while isinstance(pi, Trans):
+        pi, right = pi.first, pi.second
+        rights.append(right)
+    return [pi, *reversed(rights)]
 
 
 def check(pi: ProofTerm, t: Term, t2: Term, rs: RuleSet) -> bool:
@@ -189,24 +198,18 @@ def from_derivation(d: Derivation, rs: RuleSet) -> ProofTerm:
             label.rule_label,
             tuple(Embed(label.subst.get(x)) for x in rule.params),
         )
+        subterm_at(source, label.position)  # InvalidPosition for a hand-built step
         path = label.position.path
-        for depth in range(len(path) - 1, -1, -1):
-            node = subterm_at(source, Position(path[:depth]))
-            child = path[depth]
-            pi = Cong(
-                node.symbol,
-                tuple(
-                    pi if i == child - 1 else Embed(arg)
-                    for i, arg in enumerate(node.args)
-                ),
-            )
+        context = [source]
+        for child in path[:-1]:
+            context.append(context[-1].args[child - 1])
+        for node, child in zip(reversed(context), reversed(path)):
+            args = [Embed(arg) for arg in node.args]
+            args[child - 1] = pi
+            pi = Cong(node.symbol, tuple(args))
         return pi
 
-    proofs = [step_proof(s.source, s.label) for s in d.steps]
-    out = proofs[0]
-    for pi in proofs[1:]:
-        out = Trans(out, pi)
-    return out
+    return reduce(Trans, (step_proof(s.source, s.label) for s in d.steps))
 
 
 def to_derivation(pi: ProofTerm, rs: RuleSet) -> Derivation:
@@ -217,45 +220,39 @@ def to_derivation(pi: ProofTerm, rs: RuleSet) -> Derivation:
     occurrence of the matching parameter), then the rule itself at the top.
     The result replays to the same sequent the proof infers.
     """
-    match pi:
-        case Embed(term=t):
-            return Derivation(t)
-        case Trans(first=a, second=b):
-            return to_derivation(a, rs).compose(to_derivation(b, rs))
-        case Cong(symbol=f, args=args):
-            subs = [to_derivation(a, rs) for a in args]
-            d = Derivation(App(f, tuple(s.source for s in subs)))
-            for i, sub in enumerate(subs, start=1):
-                d = _replay_inside(d, Position((i,)), sub, rs)
-            return d
-        case Repl(rule_label=label, args=args):
-            rule = _rule_of(pi, rs)
-            subs = [to_derivation(a, rs) for a in args]
-            src = Substitution.of(dict(zip(rule.params, (s.source for s in subs))))
-            d = Derivation(apply_subst(src, rule.lhs))
-            occurrences = {
-                x: [p for p, s in subterms(rule.lhs) if s == Var(x)]
-                for x in rule.params
-            }
-            for x, sub in zip(rule.params, subs):
-                for occ in occurrences[x]:
-                    d = _replay_inside(d, occ, sub, rs)
-            sigma = match(rule.lhs, d.target)
-            step = apply_step(d.target, StepLabel(Position(), label, sigma), rs)
-            return d.then(step)
-    raise TypeError(f"not a proof term: {pi!r}")
+    source = t = infer(pi, rs).source
+    steps = []
+    for path, rule in _firings(pi, rs):
+        # `infer` accepted `pi`, so every listed rule matches where it fires.
+        step = rewrite_at(t, rule, Position(path))
+        steps.append(step)
+        t = step.target
+    return Derivation(source, tuple(steps))
 
 
-def _replay_inside(d: Derivation, at: Position, inner: Derivation, rs: RuleSet) -> Derivation:
-    """Extend `d` by firing each step of `inner` under position `at`."""
-    for step in inner.steps:
-        shifted = StepLabel(
-            Position(at.path + step.label.position.path),
-            step.label.rule_label,
-            step.label.subst,
-        )
-        d = d.then(apply_step(d.target, shifted, rs))
-    return d
+def _firings(pi: ProofTerm, rs: RuleSet):
+    """Yield the (absolute path, rule) pairs `to_derivation` fires, in order.
+
+    The walk keeps its own stack, so `to_derivation` recurses no deeper
+    than `infer` does.
+    """
+    stack: list = [(pi, ())]
+    while stack:
+        node, path = stack.pop()
+        match node:
+            case Rule():
+                yield path, node
+            case Trans(first=a, second=b):
+                stack += [(b, path), (a, path)]
+            case Cong(args=args):
+                for i in range(len(args), 0, -1):
+                    stack.append((args[i - 1], path + (i,)))
+            case Repl(rule_label=label, args=args):
+                rule = rs.lookup(label)
+                stack.append((rule, path))
+                for x, a in reversed(list(zip(rule.params, args))):
+                    occs = [p.path for p, s in subterms(rule.lhs) if s == Var(x)]
+                    stack += [(a, path + occ) for occ in reversed(occs)]
 
 
 def apply_proof_set(proofs, t: Term, rs: RuleSet) -> set:
@@ -325,9 +322,9 @@ def print_proof(pi: ProofTerm) -> str:
             if not args:
                 return label
             return f"{label}({','.join(print_proof(a) for a in args)})"
-        case Trans(first=a, second=b):
-            right = print_proof(b)
-            if isinstance(b, Trans):
-                right = f"({right})"
-            return f"{print_proof(a)} ; {right}"
+        case Trans():
+            return " ; ".join(
+                f"({print_proof(p)})" if isinstance(p, Trans) else print_proof(p)
+                for p in _chain(pi)
+            )
     raise TypeError(f"not a proof term: {pi!r}")

@@ -228,10 +228,7 @@ def _eval(s: StrategyExpr, t: Term, rs: RuleSet, fuel: _Fuel, env: dict) -> Eval
             mu, defenv = bound
             return _eval(mu.body, t, rs, fuel, {**defenv, mu.var: bound})
         case Occurs(pattern=g):
-            for _, sub in subterms(t):
-                if match(g, sub) is not None:
-                    return Value(t)
-            return STK
+            return Value(t) if check_invariant(g, t) else STK
     raise TypeError(f"not a strategy expression: {s!r}")
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from termstrat import Theory, load_theory
@@ -20,6 +22,20 @@ rule c1 : a => b
 rule c2 : b => c
 rule c3 : c => d
 """
+
+
+_RECURSION_LIMIT = sys.getrecursionlimit()
+
+
+@pytest.fixture(autouse=True)
+def recursion_limit_unchanged():
+    """Fail a test that leaves the recursion limit changed: depth must be
+    bounded by the code, not by `sys.setrecursionlimit`."""
+    yield
+    limit = sys.getrecursionlimit()
+    if limit != _RECURSION_LIMIT:
+        sys.setrecursionlimit(_RECURSION_LIMIT)  # so later tests are judged alone
+        pytest.fail(f"recursion limit changed from {_RECURSION_LIMIT} to {limit}")
 
 
 @pytest.fixture(scope="session")

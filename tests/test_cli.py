@@ -117,6 +117,26 @@ class TestExitCodes:
         )
         assert proc.returncode == 2 and proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["derive", "--file", "docs/rex.trs", "--term", "a", "--depth", "1"],
+            ["check-proof", "--file", "docs/rex.trs", "--proof", "r1"],
+        ],
+        ids=["derive", "check-proof"],
+    )
+    def test_fuel_only_where_read(self, args):
+        proc = run_cli([*args, "--fuel", "5"])
+        assert proc.returncode == 3 and "--fuel" in proc.stderr
+
+    def test_check_proof_long_chain(self, tmp_path):
+        flip = tmp_path / "flip.trs"
+        flip.write_text("sig a/0 b/0\nrule p : a => b\nrule q : b => a\n")
+        proof = " ; ".join(["p", "q"] * 1000)
+        proc = run_cli(["check-proof", "--file", str(flip), "--proof", proof])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "a -> a\n"
+
     def test_normalize_pure_cycle_closes_empty(self, tmp_path):
         # A self-loop dedups away under a memoryless strategy: the reachable
         # set is finite and contains no normal form, so output is empty.

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +38,8 @@ from termstrat import (
     to_derivation,
 )
 from gen import brute_derivations, random_ground_term, random_proof
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def t(rex, text):
@@ -213,6 +218,48 @@ class TestToDerivation:
     def test_compose_error_propagates(self, rex):
         with pytest.raises(ComposeError):
             to_derivation(Trans(Repl("r1", ()), Repl("r1", ())), rex.rules)
+        cases = {
+            # in the middle of a left-nested chain
+            "f(r1) ; r3(b) ; r2(a) ; r1": ("g(b)", "g(a)"),
+            # inside a parenthesised right operand
+            "r3(a) ; (r2(a) ; r2(a)) ; r1": ("a", "g(a)"),
+        }
+        for text, (left, right) in cases.items():
+            pi = pp(rex, text)
+            for convert in (infer, to_derivation):
+                with pytest.raises(ComposeError) as exc:
+                    convert(pi, rex.rules)
+                assert exc.value.left_target == t(rex, left)
+                assert exc.value.right_source == t(rex, right)
+
+    def test_long_chain_round_trip(self):
+        # A fresh interpreter, so the recursion limit is the default one.
+        script = (
+            "import sys\n"
+            "from termstrat import (from_derivation, infer, load_theory,\n"
+            "    parse_proof, print_proof, to_derivation)\n"
+            "th = load_theory('sig a/0 b/0\\nrule p : a => b\\nrule q : b => a\\n')\n"
+            "pi = parse_proof(sys.stdin.read(), th.rules, th.signature)\n"
+            "seq = infer(pi, th.rules)\n"
+            "d = to_derivation(pi, th.rules)\n"
+            "back = from_derivation(d, th.rules)\n"
+            "assert infer(back, th.rules) == seq\n"
+            "print(len(d), seq)\n"
+            "print(print_proof(back), end='')\n"
+        )
+        text = " ; ".join(["p", "q"] * 5000)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            input=text,
+            cwd=REPO,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        counts, printed = proc.stdout.split("\n", 1)
+        assert counts == "10000 [a] -> [a]"
+        assert printed == text
 
 
 class TestApplyProofSet:
