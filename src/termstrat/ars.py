@@ -18,7 +18,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import ComposeError, FuelExhausted
-from .rules import RewriteStep, RuleSet, StepLabel, all_redexes, apply_step
+from .rules import RewriteStep, RuleSet, StepLabel, _redexes, all_redexes, apply_step
 from .terms import Term, print_term
 
 
@@ -246,19 +246,10 @@ def innermost(rs: RuleSet) -> IntensionalStrategy:
     """Allow exactly the redexes at maximal positions in the prefix order.
 
     Maximal means no other redex sits strictly below; several incomparable
-    positions can qualify at once.
+    positions can qualify at once.  One postorder walk finds them: a node
+    is matched only when no redex turned up beneath it.
     """
-
-    def choose(t: Term) -> frozenset:
-        labels = all_redexes(t, rs)
-        pts = [lab.position for lab in labels]
-        return frozenset(
-            lab
-            for lab in labels
-            if not any(p.is_below(lab.position) for p in pts)
-        )
-
-    return memoryless(choose, rs)
+    return memoryless(lambda t: frozenset(_redexes(t, rs, innermost=True)), rs)
 
 
 def rightmost_innermost(rs: RuleSet) -> IntensionalStrategy:
@@ -266,20 +257,16 @@ def rightmost_innermost(rs: RuleSet) -> IntensionalStrategy:
 
     Innermost positions are pairwise prefix-incomparable, so the rightmost
     one is the lexicographic maximum of their paths; when several rules
-    apply there, declaration order in `rs` decides.
+    apply there, declaration order in `rs` decides.  The postorder walk
+    runs right to left, so the first redex it meets is that one, and the
+    walk stops there.
     """
-    rank = {rule.label: i for i, rule in enumerate(rs)}
-    inner = innermost(rs)
 
-    def choose(tr: TracedObject) -> frozenset:
-        labels = inner.choose(tr)
-        if not labels:
-            return frozenset()
-        best_path = max(lab.position.path for lab in labels)
-        at_best = [lab for lab in labels if lab.position.path == best_path]
-        return frozenset({min(at_best, key=lambda lab: rank[lab.rule_label])})
+    def choose(t: Term) -> frozenset:
+        first = next(_redexes(t, rs, innermost=True, backward=True), None)
+        return frozenset() if first is None else frozenset((first,))
 
-    return IntensionalStrategy(choose, True, rs)
+    return memoryless(choose, rs)
 
 
 def bounded(k: int, base: IntensionalStrategy) -> IntensionalStrategy:

@@ -157,6 +157,8 @@ def infer(pi: ProofTerm, rs: RuleSet) -> Sequent:
                     f"rule {label} has {len(rule.params)} parameter(s), "
                     f"got {len(args)} argument(s)"
                 )
+            if not args:
+                return Sequent(rule.lhs, rule.rhs)
             seqs = [infer(a, rs) for a in args]
             src = Substitution.of(dict(zip(rule.params, (s.source for s in seqs))))
             tgt = Substitution.of(dict(zip(rule.params, (s.target for s in seqs))))

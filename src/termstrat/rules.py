@@ -9,6 +9,7 @@ order, rules in declaration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import StepMismatch, UnknownLabel
 from .terms import (
@@ -24,7 +25,6 @@ from .terms import (
     print_term,
     replace_at,
     subterm_at,
-    subterms,
     variables,
 )
 from .lex import Lexer
@@ -66,14 +66,20 @@ class RuleSet:
     def __init__(self, rules=()):
         self._rules: list[Rule] = []
         self._by_label: dict[str, Rule] = {}
+        # head-symbol name -> the rules whose lhs has that head, in
+        # declaration order: the only rules that can match such a node
+        self._by_head: dict[str, list[Rule]] = {}
         for rule in rules:
             self.add(rule)
 
     def add(self, rule: Rule) -> None:
         if rule.label in self._by_label:
             raise ValueError(f"duplicate rule label {rule.label}")
+        if not isinstance(rule.lhs, App):
+            raise ValueError(f"rule {rule.label}: left-hand side is a bare variable")
         self._rules.append(rule)
         self._by_label[rule.label] = rule
+        self._by_head.setdefault(rule.lhs.symbol.name, []).append(rule)
 
     def lookup(self, label: str) -> Rule:
         rule = self._by_label.get(label)
@@ -136,13 +142,59 @@ def all_redexes(t: Term, rs: RuleSet) -> list[StepLabel]:
 
     Ordered by position (lexicographic), then by rule declaration order.
     """
-    out: list[StepLabel] = []
-    for pos, sub in subterms(t):
-        for rule in rs:
-            sigma = match(rule.lhs, sub)
-            if sigma is not None:
-                out.append(StepLabel(pos, rule.label, sigma))
-    return out
+    return list(_redexes(t, rs))
+
+
+def _redexes(t: Term, rs: RuleSet, innermost: bool = False, backward: bool = False):
+    """Yield the redexes of `t` from one depth-first walk.
+
+    By default every redex, in preorder (lexicographic positions).  With
+    `innermost`, the walk is postorder and yields only redexes with no
+    redex strictly below them: a node is matched only when none of its
+    subterms held one.  `backward` visits children right to left.  At
+    each node the rules indexed under its head are tried in declaration
+    order.  The walk keeps one mutable path and builds a `Position` only
+    for a redex it yields; it is lazy, so a caller can stop at the first.
+    """
+    by_head = rs._by_head
+    path: list[int] = []
+    # (node, its index in its parent or 0 at the root, leaving it?)
+    stack = [(t, 0, False)]
+    below = [False]  # per open node: a redex was found under it
+    while stack:
+        node, i, leaving = stack.pop()
+        if leaving:
+            found = below.pop()
+            match_here = innermost and not found
+        else:
+            if i:
+                path.append(i)
+            found = False
+            args = node.args if isinstance(node, App) else ()
+            if args:
+                stack.append((node, i, True))
+                below.append(False)
+                n = len(args)
+                if n == 1:  # the common case; a zip per node costs twice as much
+                    stack.append((args[0], 1, False))
+                elif backward:
+                    stack.extend(zip(args, range(1, n + 1), repeat(False)))
+                else:
+                    stack.extend(zip(reversed(args), range(n, 0, -1), repeat(False)))
+                match_here = not innermost
+            else:
+                match_here = leaving = True  # a leaf is left as soon as entered
+        if match_here and isinstance(node, App):
+            for rule in by_head.get(node.symbol.name, ()):
+                sigma = match(rule.lhs, node)
+                if sigma is not None:
+                    found = True
+                    yield StepLabel(Position(tuple(path)), rule.label, sigma)
+        if leaving:
+            if found:
+                below[-1] = True
+            if i:
+                path.pop()
 
 
 def apply_step(t: Term, label: StepLabel, rs: RuleSet) -> RewriteStep:

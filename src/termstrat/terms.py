@@ -16,7 +16,7 @@ variables.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ArityError, InvalidPosition, UnknownSymbol
 from .lex import Lexer
@@ -86,26 +86,39 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     """A symbol applied to exactly `symbol.arity` argument terms."""
 
     symbol: Symbol
     args: tuple = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not isinstance(self.args, tuple):
-            object.__setattr__(self, "args", tuple(self.args))
-        if len(self.args) != self.symbol.arity:
+    def __init__(self, symbol: Symbol, args=()):
+        # Written by hand, and slotted, so that caching the hash costs no
+        # more time or memory than the generated `__init__` plus
+        # `__post_init__` did.  The children's hashes are already cached,
+        # so hashing `args` is O(arity).
+        if not isinstance(args, tuple):
+            args = tuple(args)
+        if len(args) != symbol.arity:
             raise ArityError(
-                f"{self.symbol.name} expects {self.symbol.arity} argument(s), "
-                f"got {len(self.args)}"
+                f"{symbol.name} expects {symbol.arity} argument(s), "
+                f"got {len(args)}"
             )
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "_hash", hash((symbol.name, args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: rebuild, never copy `_hash`.
+        return App, (self.symbol, self.args)
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.symbol.name
-        return f"{self.symbol.name}({','.join(str(a) for a in self.args)})"
+        return print_term(self)
 
 
 Term = Var | App
@@ -128,7 +141,12 @@ class Position:
             raise ValueError(f"position indices are 1-based: {self.path}")
 
     def child(self, i: int) -> Position:
-        return Position(self.path + (i,))
+        """The position one level down at index `i`; only `i` is checked."""
+        if i < 1:
+            raise ValueError(f"position indices are 1-based: {self.path + (i,)}")
+        pos = object.__new__(Position)
+        object.__setattr__(pos, "path", self.path + (i,))
+        return pos
 
     @property
     def is_root(self) -> bool:
@@ -220,16 +238,20 @@ def subterm_at(t: Term, p: Position) -> Term:
 
 
 def replace_at(t: Term, p: Position, s: Term) -> Term:
-    """`t` with the subterm at `p` replaced by `s`; all other nodes unchanged."""
-    if p.is_root:
-        return s
-    i = p.path[0]
-    if not isinstance(t, App) or i > len(t.args):
-        raise InvalidPosition(f"no position {p} in {t}")
-    rest = Position(p.path[1:])
-    args = list(t.args)
-    args[i - 1] = replace_at(args[i - 1], rest, s)
-    return App(t.symbol, tuple(args))
+    """`t` with the subterm at `p` replaced by `s`; all other nodes unchanged.
+
+    Only the nodes on the path to `p` are rebuilt.
+    """
+    spine = []
+    cur = t
+    for depth, i in enumerate(p.path):
+        if not isinstance(cur, App) or i > len(cur.args):
+            raise InvalidPosition(f"no position {Position(p.path[depth:])} in {cur}")
+        spine.append(cur)
+        cur = cur.args[i - 1]
+    for node, i in zip(reversed(spine), reversed(p.path)):
+        s = App(node.symbol, node.args[: i - 1] + (s,) + node.args[i:])
+    return s
 
 
 def variables(t: Term) -> tuple:
@@ -299,5 +321,27 @@ def parse_term_tokens(lexer: Lexer, sig: Signature) -> Term:
 
 
 def print_term(t: Term) -> str:
-    """Canonical text form; `parse_term(print_term(t), sig)` gives back `t`."""
-    return str(t)
+    """Canonical text form; `parse_term(print_term(t), sig)` gives back `t`.
+
+    Built on an explicit stack, so the depth of `t` is not bounded by the
+    interpreter's recursion limit.
+    """
+    parts = []
+    stack = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Var):
+            parts.append(item.name)
+        elif not item.args:
+            parts.append(item.symbol.name)
+        else:
+            parts.append(item.symbol.name + "(")
+            stack.append(")")
+            args = item.args
+            for k in range(len(args) - 1, 0, -1):
+                stack.append(args[k])
+                stack.append(",")
+            stack.append(args[0])
+    return "".join(parts)

@@ -16,6 +16,12 @@ rule p0 : plus(0,y) => y
 rule ps : plus(s(x),y) => s(plus(x,y))
 """
 
+PEANO_TEXT = """\
+sig 0/0 s/1 plus/2
+rule p0 : plus(0,y) => y
+rule ps : plus(s(x),y) => s(plus(x,y))
+"""
+
 CHAIN_TEXT = """\
 sig a/0 b/0 c/0 d/0
 rule c1 : a => b
@@ -41,6 +47,11 @@ def recursion_limit_unchanged():
 @pytest.fixture(scope="session")
 def rex() -> Theory:
     return load_theory(REX_TEXT)
+
+
+@pytest.fixture(scope="session")
+def peano() -> Theory:
+    return load_theory(PEANO_TEXT)
 
 
 @pytest.fixture(scope="session")

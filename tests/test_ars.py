@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import termstrat.rules
 from termstrat import (
     ComposeError,
     Derivation,
@@ -385,3 +386,23 @@ class TestNormalForms:
         history_sensitive = IntensionalStrategy(base.choose, False, th.rules)
         with pytest.raises(FuelExhausted):
             normal_forms_under(history_sensitive, a, 50)
+
+    @pytest.mark.parametrize("n", [25, 50])
+    def test_rightmost_innermost_match_work_is_linear(self, peano, monkeypatch, n):
+        # Each of the n `ps` steps tries p0 and ps at the one plus node and
+        # replays ps; the final `p0` step tries p0 and replays it: 3n + 2.
+        # Scanning every node with every rule costs about 4n^2 instead.
+        calls = 0
+        real = termstrat.rules.match
+
+        def counted(pattern, subject):
+            nonlocal calls
+            calls += 1
+            return real(pattern, subject)
+
+        monkeypatch.setattr(termstrat.rules, "match", counted)
+        num = "s(" * n + "0" + ")" * n
+        term = t(peano, f"plus({num},{num})")
+        got = normal_forms_under(rightmost_innermost(peano.rules), term, 10 * n)
+        assert got == {t(peano, "s(" * 2 * n + "0" + ")" * 2 * n)}
+        assert calls <= 3 * n + 2

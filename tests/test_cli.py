@@ -137,6 +137,18 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "a -> a\n"
 
+    def test_normalize_prints_deep_result(self):
+        num = "s(" * 130 + "0" + ")" * 130
+        proc = run_cli(
+            [
+                "normalize", "--file", "docs/peano.trs",
+                "--term", f"plus({num},{num})",
+                "--intensional", "rightmost-innermost",
+            ]
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "s(" * 260 + "0" + ")" * 260 + "\n"
+
     def test_normalize_pure_cycle_closes_empty(self, tmp_path):
         # A self-loop dedups away under a memoryless strategy: the reachable
         # set is finite and contains no normal form, so output is empty.

@@ -3,8 +3,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termstrat import (
+    App,
     InvalidPosition,
     Position,
     ROOT,
@@ -16,13 +19,16 @@ from termstrat import (
     UnknownLabel,
     all_redexes,
     apply_step,
+    innermost,
     apply_subst,
     parse_term,
     positions,
     rewrite_at,
+    rightmost_innermost,
     subterm_at,
+    traced,
 )
-from gen import ground_terms, random_ground_term
+from gen import ground_terms, naive_match, random_ground_term, random_pattern
 
 
 def t(rex, text):
@@ -133,6 +139,69 @@ class TestAllRedexes:
                     if step is not None:
                         expected.append(step.label)
             assert all_redexes(term, rex.rules) == expected
+
+
+def scan_redexes(term, rules) -> list:
+    """Every node (preorder) times every rule (declaration order)."""
+    out = []
+
+    def go(sub, path):
+        for rule in rules:
+            env = naive_match(rule.lhs, sub)
+            if env is not None:
+                out.append(StepLabel(Position(path), rule.label, Substitution.of(env)))
+        if isinstance(sub, App):
+            for i, arg in enumerate(sub.args, 1):
+                go(arg, path + (i,))
+
+    go(term, ())
+    return out
+
+
+def filter_innermost(labels) -> frozenset:
+    """The redexes with no other redex strictly below them."""
+    pts = [lab.position for lab in labels]
+    return frozenset(
+        lab for lab in labels if not any(p.is_below(lab.position) for p in pts)
+    )
+
+
+def pick_rightmost(labels, rules) -> frozenset:
+    """Greatest innermost path, then the first declared rule there."""
+    inner = filter_innermost(labels)
+    if not inner:
+        return frozenset()
+    rank = {rule.label: i for i, rule in enumerate(rules)}
+    best = max(lab.position.path for lab in inner)
+    at_best = [lab for lab in inner if lab.position.path == best]
+    return frozenset({min(at_best, key=lambda lab: rank[lab.rule_label])})
+
+
+class TestRedexSelection:
+    """The indexed walk against the plain definitions it replaced."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_walk_agrees_with_scan(self, rex, peano, data):
+        th = data.draw(st.sampled_from([rex, peano]))
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        depth = data.draw(st.integers(1, 6))
+        if data.draw(st.booleans()):
+            term = random_ground_term(rng, th.signature, depth)
+        else:
+            term = random_pattern(rng, th.signature, depth)
+        rules = list(th.rules)
+        # Rules added after the first query must be seen by later ones.
+        split = data.draw(st.integers(0, len(rules)))
+        rs = RuleSet(rules[:split])
+        inner, right = innermost(rs), rightmost_innermost(rs)
+        for known in (rules[:split], rules):
+            for rule in known[len(rs):]:
+                rs.add(rule)
+            want = scan_redexes(term, known)
+            assert all_redexes(term, rs) == want
+            assert inner.choose(traced(term)) == filter_innermost(want)
+            assert right.choose(traced(term)) == pick_rightmost(want, known)
 
 
 class TestApplyStep:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,25 @@ class TestConstruction:
         with pytest.raises(ArityError):
             App(f, ())
 
+    def test_hash_is_structural_at_any_depth(self):
+        s, zero = Symbol("s", 1), App(Symbol("0", 0))
+        deep = []
+        for _ in range(2):
+            term = zero
+            for _ in range(10_000):
+                term = App(s, (term,))
+            deep.append(term)
+        assert deep[0] is not deep[1]
+        assert hash(deep[0]) == hash(deep[1])
+        assert print_term(deep[0]) == "s(" * 10_000 + "0" + ")" * 10_000
+
+    def test_pickle_rebuilds_the_hash(self, rex):
+        term = t(rex, "h(f(a),plus(s(0),x))")
+        data = pickle.dumps(term)
+        assert b"_hash" not in data
+        back = pickle.loads(data)
+        assert back == term and hash(back) == hash(term)
+
     def test_signature_rejects_conflicting_redeclaration(self):
         sig = Signature([Symbol("f", 1)])
         sig.add(Symbol("f", 1))
@@ -123,6 +143,15 @@ class TestPositions:
     def test_zero_index_rejected(self):
         with pytest.raises(ValueError):
             Position((0,))
+        with pytest.raises(ValueError):
+            Position((1, 0))
+        with pytest.raises(ValueError):
+            ROOT.child(0)
+        with pytest.raises(ValueError):
+            Position((2,)).child(-1)
+
+    def test_child_extends_path(self):
+        assert ROOT.child(2).child(1) == Position((2, 1))
 
 
 class TestSubtermReplace:
@@ -317,6 +346,7 @@ class TestParsePrint:
         assert print_term(t(rex, "a")) == "a"
         assert print_term(t(rex, "f(g(a))")) == "f(g(a))"
         assert print_term(t(rex, "h(a,b)")) == "h(a,b)"
+        assert print_term(t(rex, "h(f(x),h(a,g(b)))")) == "h(f(x),h(a,g(b)))"
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
