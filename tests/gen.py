@@ -240,3 +240,72 @@ def trans_depth(pi: ProofTerm) -> int:
             return max((trans_depth(a) for a in args), default=0)
         case _:
             return 0
+
+
+REF_EXHAUSTED = "exhausted"
+
+
+def reference_eval(s: StrategyExpr, t: Term, rs: RuleSet, fuel: int):
+    """Big-step strategy evaluation as plain recursion: (outcome, fuel spent).
+
+    The outcome is the resulting term, None for stk, or REF_EXHAUSTED.  Every
+    node evaluated costs one unit; `repeat(s)` costs one unit and then runs
+    as its unfolding `mu X . try(seq(s, X))`, with an `X` no input can name.
+    Rules apply through `naive_match`, `occurs` through `naive_occurs`.
+    """
+
+    class Exhausted(Exception):
+        pass
+
+    left = fuel
+
+    def instantiate(env: dict, u: Term) -> Term:
+        if isinstance(u, Var):
+            return env.get(u.name, u)
+        return App(u.symbol, tuple(instantiate(env, a) for a in u.args))
+
+    def go(s: StrategyExpr, t: Term, env: dict):
+        nonlocal left
+        if left == 0:
+            raise Exhausted
+        left -= 1
+        match s:
+            case Id():
+                return t
+            case Fail():
+                return None
+            case RuleRef(label=label):
+                rule = rs.lookup(label)
+                env_m = naive_match(rule.lhs, t)
+                return None if env_m is None else instantiate(env_m, rule.rhs)
+            case Seq(s1=s1, s2=s2):
+                r = go(s1, t, env)
+                return None if r is None else go(s2, r, env)
+            case First(s1=s1, s2=s2):
+                r = go(s1, t, env)
+                return go(s2, t, env) if r is None else r
+            case Try(s=inner):
+                r = go(inner, t, env)
+                return t if r is None else r
+            case Not(s=inner):
+                return t if go(inner, t, env) is None else None
+            case IfTE(cond=c, then_s=a, else_s=b):
+                return go(a if go(c, t, env) is not None else b, t, env)
+            case Repeat(s=inner):
+                x = "repeat'"
+                return go(Mu(x, Try(Seq(inner, SVar(x)))), t, env)
+            case Mu(var=x, body=body):
+                return go(body, t, {**env, x: (s, env)})
+            case SVar(var=x):
+                mu, defenv = env[x]
+                return go(mu.body, t, {**defenv, x: (mu, defenv)})
+            case Occurs(pattern=g):
+                return t if naive_occurs(g, t) else None
+        raise AssertionError(s)
+
+    try:
+        result = go(s, t, {})
+    except Exhausted:
+        return REF_EXHAUSTED, fuel
+    return result, fuel - left
+

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termstrat import (
+    App,
     Fail,
     First,
     FuelExhausted,
@@ -27,10 +30,12 @@ from termstrat import (
     eval_strategy,
     forbidden_strategy,
     invariant_strategy,
+    load_theory,
     parse_strategy,
     parse_term,
     print_strategy,
 )
+from gen import REF_EXHAUSTED, random_strategy, reference_eval
 from test_terms import term_exprs
 
 
@@ -432,3 +437,50 @@ class TestLaws:
         else:
             assert ev(rex, s, term, fuel=2 * n) == small
             assert ev(rex, s, term, fuel=10 * n) == small
+
+
+TOWER_TEXT = """\
+sig a/0 f/1
+rule u : f(x) => x
+"""
+
+
+def tower(th, n):
+    """f^n(a), built without the parser."""
+    term = App(th.signature.lookup("a"))
+    for _ in range(n):
+        term = App(th.signature.lookup("f"), (term,))
+    return term
+
+
+class TestReference:
+    """The evaluator against `gen.reference_eval`, a plain recursive one."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_reference(self, rex, rex_exprs, data):
+        exprs, terms = rex_exprs
+        labels = tuple(r.label for r in rex.rules)
+        # The random strategies of gen.py add mu and bound variables.
+        with_mu = st.integers(0, 2**32).map(
+            lambda seed: random_strategy(random.Random(seed), labels, rex.signature, 4)
+        )
+        s, term = data.draw(st.one_of(exprs, with_mu)), data.draw(terms)
+        want, spent = reference_eval(s, term, rex.rules, 400)
+        if want == REF_EXHAUSTED:
+            assert outcome(rex, s, term, 400) == EXHAUSTED
+            return
+        assert outcome(rex, s, term, 400) == (STK if want is None else Value(want))
+        assert cost(rex, s, term, 400) == spent
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 200])
+    def test_mu_unwrap_cost(self, n):
+        # Per f: first, seq, u and X; then first, seq, failing u, id and the mu.
+        th = load_theory(TOWER_TEXT)
+        s = parse_strategy("mu X . first(seq(u,X),id)", th.rules, th.signature)
+        term, a = tower(th, n), tower(th, 0)
+        assert reference_eval(s, term, th.rules, 4 * n + 5) == (a, 4 * n + 5)
+        assert eval_strategy(s, term, th.rules, 4 * n + 5) == Value(a)
+        with pytest.raises(FuelExhausted):
+            eval_strategy(s, term, th.rules, 4 * n + 4)
+
