@@ -17,7 +17,7 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import ComposeError, FuelExhausted
+from .errors import ComposeError, Fuel
 from .rules import RewriteStep, RuleSet, StepLabel, _redexes, all_redexes, apply_step
 from .terms import Term, print_term
 
@@ -299,6 +299,7 @@ def normal_forms_under(zeta: IntensionalStrategy, a: Term, fuel: int) -> set:
     fuel, and running out with work left raises FuelExhausted.  Memoryless
     strategies are deduplicated on the current term.
     """
+    spend = Fuel(fuel, f"normal-form search from {print_term(a)} ran out of fuel").spend
     normals: set[Term] = set()
     frontier = deque([traced(a)])
     seen = {a} if zeta.memoryless else None
@@ -309,11 +310,7 @@ def normal_forms_under(zeta: IntensionalStrategy, a: Term, fuel: int) -> set:
             normals.add(tr.current)
             continue
         for label in choices:
-            if fuel <= 0:
-                raise FuelExhausted(
-                    f"normal-form search from {print_term(a)} ran out of fuel"
-                )
-            fuel -= 1
+            spend()
             nxt = tr.step(label, zeta.rules)
             if seen is not None:
                 if nxt.current in seen:

@@ -72,3 +72,18 @@ class FuelExhausted(TermstratError):
     Deliberately distinct from strategy failure (stk): running out of fuel
     signals a nontermination cutoff, not a negative answer.
     """
+
+
+class Fuel:
+    """A run's budget: each `spend` takes units, raising FuelExhausted when short."""
+
+    __slots__ = ("left", "message")
+
+    def __init__(self, amount: int, message: str):
+        self.left = amount
+        self.message = message
+
+    def spend(self, units: int = 1) -> None:
+        if self.left < units:
+            raise FuelExhausted(self.message)
+        self.left -= units

@@ -75,6 +75,13 @@ class Lexer:
         tok = self.peek()
         return ParseError(message, tok.line, tok.col)
 
+    def head(self, what: str) -> Token:
+        """Consume the head of an application: an identifier or numeral."""
+        tok = self.peek()
+        if tok.kind != "ident" and tok.kind != "num":
+            raise ParseError(f"expected {what}, found {_describe(tok)}", tok.line, tok.col)
+        return self.next()
+
     def application(
         self, what: str, parse_arg, parens: bool = False
     ) -> tuple[Token, list | None]:
@@ -84,10 +91,7 @@ class Lexer:
         is None when no parentheses follow the head, so `a` and `a()` can be
         told apart; with `parens` the parentheses are required.
         """
-        head = self.peek()
-        if head.kind != "ident" and head.kind != "num":
-            raise ParseError(f"expected {what}, found {_describe(head)}", head.line, head.col)
-        self.next()
+        head = self.head(what)
         if parens:
             self.expect("(")
         elif not self.accept("("):

@@ -6,10 +6,11 @@ A strategy applied to a term either produces a term (`Value`) or fails
 evaluation was cut off before reaching an answer, raises `FuelExhausted`,
 and is never converted into failure.
 
-Recursion is written with `mu`; `repeat(s)` means `mu X . try(seq(s, X))`.
-It is evaluated natively, as a loop, but charged exactly as that unfolding.
-Every combinator evaluation consumes one unit of fuel, so any divergent
-strategy (say `repeat(id)`) exhausts any finite budget.
+Recursion is written with `mu`; `repeat(s)` means `mu X . try(seq(s, X))`
+and is charged exactly as that unfolding.  Every combinator evaluation
+consumes one unit of fuel, so any divergent strategy (say `repeat(id)`)
+exhausts any finite budget.  Evaluation is one loop over a stack of frames
+in which tail positions push nothing, so only fuel bounds its depth.
 
 Concrete syntax:
 
@@ -19,10 +20,10 @@ Concrete syntax:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
-from .errors import FuelExhausted, UnboundSVar
+from .errors import Fuel, UnboundSVar
 from .lex import Lexer
 from .rules import RuleSet
 from .terms import (
@@ -146,18 +147,8 @@ STK = Stk()
 EvalResult = Value | Stk
 
 
-class _Fuel:
-    """Shared countdown; one unit per combinator evaluation."""
-
-    __slots__ = ("left",)
-
-    def __init__(self, amount: int):
-        self.left = amount
-
-    def spend(self) -> None:
-        if self.left <= 0:
-            raise FuelExhausted("strategy evaluation ran out of fuel")
-        self.left -= 1
+# The combinators that wait on their first operand, and its field.
+_FIRST_OPERAND = {Seq: "s1", First: "s1", Try: "s", Not: "s", IfTE: "cond", Repeat: "s"}
 
 
 def eval_strategy(
@@ -169,67 +160,77 @@ def eval_strategy(
     UnknownLabel for a rule reference outside `rs`, and UnboundSVar for a
     free recursion variable.
     """
-    return _eval(s, t, rs, _Fuel(fuel), {})
-
-
-def _eval(s: StrategyExpr, t: Term, rs: RuleSet, fuel: _Fuel, env: dict) -> EvalResult:
-    fuel.spend()
-    match s:
-        case Id():
-            return Value(t)
-        case Fail():
-            return STK
-        case RuleRef(label=label):
-            rule = rs.lookup(label)
+    spend = Fuel(fuel, "strategy evaluation ran out of fuel").spend
+    env: dict = {}
+    # Frames (node, term, env): a node waiting on its first operand, with
+    # the term and environment it was entered with.
+    stack: list = []
+    while True:
+        spend()
+        kind = type(s)
+        if kind is RuleRef:
+            rule = rs.lookup(s.label)
             sigma = match(rule.lhs, t)
-            if sigma is None:
-                return STK
-            return Value(apply_subst(sigma, rule.rhs))
-        case Seq(s1=s1, s2=s2):
-            r = _eval(s1, t, rs, fuel, env)
-            if r == STK:
-                return STK
-            return _eval(s2, r.term, rs, fuel, env)
-        case First(s1=s1, s2=s2):
-            r = _eval(s1, t, rs, fuel, env)
-            if r != STK:
-                return r
-            return _eval(s2, t, rs, fuel, env)
-        case Try(s=inner):
-            r = _eval(inner, t, rs, fuel, env)
-            if r != STK:
-                return r
-            return Value(t)
-        case Not(s=inner):
-            r = _eval(inner, t, rs, fuel, env)
-            return Value(t) if r == STK else STK
-        case IfTE(cond=c, then_s=a, else_s=b):
-            r = _eval(c, t, rs, fuel, env)
-            branch = a if r != STK else b
-            return _eval(branch, t, rs, fuel, env)
-        case Repeat(s=inner):
-            # Charged as the unfolding mu X . try(seq(inner, X)): one unit
-            # for the mu, two per attempt (try, seq), one per success (X).
-            fuel.spend()
-            while True:
-                fuel.spend()
-                fuel.spend()
-                r = _eval(inner, t, rs, fuel, env)
-                if r == STK:
-                    return Value(t)
-                fuel.spend()
-                t = r.term
-        case Mu(var=x, body=body):
-            return _eval(body, t, rs, fuel, {**env, x: (s, env)})
-        case SVar(var=x):
-            bound = env.get(x)
+            r = STK if sigma is None else Value(apply_subst(sigma, rule.rhs))
+        elif kind in _FIRST_OPERAND:
+            if kind is Repeat:
+                # Charged as the unfolding mu X . try(seq(s.s, X)): the mu, try
+                # and seq units now, then X, try and seq after each success.
+                spend(3)
+            stack.append((s, t, env))
+            s = getattr(s, _FIRST_OPERAND[kind])
+            continue
+        elif kind is Mu:
+            env = {**env, s.var: (s, env)}
+            s = s.body
+            continue
+        elif kind is SVar:
+            bound = env.get(s.var)
             if bound is None:
-                raise UnboundSVar(f"strategy variable {x} is not bound")
+                raise UnboundSVar(f"strategy variable {s.var} is not bound")
             mu, defenv = bound
-            return _eval(mu.body, t, rs, fuel, {**defenv, mu.var: bound})
-        case Occurs(pattern=g):
-            return Value(t) if check_invariant(g, t) else STK
-    raise TypeError(f"not a strategy expression: {s!r}")
+            s = mu.body
+            env = {**defenv, mu.var: bound}
+            continue
+        elif kind is Id:
+            r = Value(t)
+        elif kind is Fail:
+            r = STK
+        elif kind is Occurs:
+            r = Value(t) if check_invariant(s.pattern, t) else STK
+        else:
+            raise TypeError(f"not a strategy expression: {s!r}")
+        # Hand the outcome `r` to the frames until one has an operand to run.
+        while stack:
+            node, t, env = stack.pop()
+            kind = type(node)
+            if kind is Seq:
+                if r is not STK:
+                    s, t = node.s2, r.term
+                    break
+            elif kind is First:
+                if r is STK:
+                    s = node.s2
+                    break
+            elif kind is Repeat:
+                if r is STK:
+                    r = Value(t)
+                else:
+                    spend(3)
+                    t = r.term
+                    stack.append((node, t, env))
+                    s = node.s
+                    break
+            elif kind is Try:
+                if r is STK:
+                    r = Value(t)
+            elif kind is Not:
+                r = Value(t) if r is STK else STK
+            else:  # IfTE
+                s = node.else_s if r is STK else node.then_s
+                break
+        else:
+            return r
 
 
 def check_invariant(g: Term, t: Term) -> bool:
@@ -265,6 +266,7 @@ _KEYWORDS = {
     "occurs": (Occurs, 1),
     "mu": (Mu, 2),
 }
+_SPELLING = {ctor: keyword for keyword, (ctor, _) in _KEYWORDS.items()}
 
 
 def parse_strategy(
@@ -321,28 +323,14 @@ def parse_strategy_tokens(
 def print_strategy(s: StrategyExpr) -> str:
     """Canonical text form; parses back to the same expression."""
     match s:
-        case Id():
-            return "id"
-        case Fail():
-            return "fail"
-        case RuleRef(label=label):
-            return label
-        case Seq(s1=a, s2=b):
-            return f"seq({print_strategy(a)},{print_strategy(b)})"
-        case First(s1=a, s2=b):
-            return f"first({print_strategy(a)},{print_strategy(b)})"
-        case Try(s=a):
-            return f"try({print_strategy(a)})"
-        case Not(s=a):
-            return f"not({print_strategy(a)})"
-        case IfTE(cond=c, then_s=a, else_s=b):
-            return f"ifTE({print_strategy(c)},{print_strategy(a)},{print_strategy(b)})"
-        case Repeat(s=a):
-            return f"repeat({print_strategy(a)})"
+        case RuleRef(label=name) | SVar(var=name):
+            return name
         case Mu(var=x, body=body):
             return f"mu {x} . {print_strategy(body)}"
-        case SVar(var=x):
-            return x
         case Occurs(pattern=g):
             return f"occurs({print_term(g)})"
-    raise TypeError(f"not a strategy expression: {s!r}")
+    keyword = _SPELLING.get(type(s))
+    if keyword is None:
+        raise TypeError(f"not a strategy expression: {s!r}")
+    operands = [print_strategy(getattr(s, f.name)) for f in fields(s)]
+    return f"{keyword}({','.join(operands)})" if operands else keyword

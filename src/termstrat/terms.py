@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ArityError, InvalidPosition, UnknownSymbol
-from .lex import Lexer
+from .lex import Lexer, Token
 
 NAME_RE = re.compile(r"(?:[A-Za-z][A-Za-z0-9_]*|[0-9]+)\Z")
 VAR_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -109,6 +109,36 @@ class App:
         object.__setattr__(self, "symbol", symbol)
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "_hash", hash((symbol.name, args)))
+
+    def __eq__(self, other) -> bool:
+        # Written by hand, on an explicit stack of argument tuples, so that
+        # the depth of a term is not bounded by the recursion limit.
+        # Identical pairs are skipped; unequal cached hashes or symbols end
+        # the walk at once.
+        if self is other:
+            return True
+        if type(other) is not App:
+            return NotImplemented
+        if self._hash != other._hash or (
+            self.symbol is not other.symbol and self.symbol != other.symbol
+        ):
+            return False
+        if not self.args:  # equal constants, the common case in rule sides
+            return True
+        stack = [(self.args, other.args)]
+        while stack:
+            xs, ys = stack.pop()
+            for x, y in zip(xs, ys):
+                if x is y:
+                    continue
+                if type(x) is not App or type(y) is not App:
+                    if x != y:
+                        return False
+                elif x._hash != y._hash or (x.symbol is not y.symbol and x.symbol != y.symbol):
+                    return False
+                elif x.args:
+                    stack.append((x.args, y.args))
+        return True
 
     def __hash__(self) -> int:
         return self._hash
@@ -305,8 +335,36 @@ def parse_term(text: str, sig: Signature) -> Term:
 
 
 def parse_term_tokens(lexer: Lexer, sig: Signature) -> Term:
-    """Parse one term from an open token stream (shared by the file formats)."""
-    head, args = lexer.application("a term", lambda: parse_term_tokens(lexer, sig))
+    """Parse one term from an open token stream (shared by the file formats).
+
+    A loop over a stack of open applications, so the depth of the term is
+    not bounded by the interpreter's recursion limit.  Each application is
+    checked against `sig` when its closing parenthesis has been read.
+    """
+    pending = []  # (head token, arguments read so far) of each open application
+    while True:
+        head = lexer.head("a term")
+        if not lexer.accept("("):
+            t = _build(sig, head, None)
+        elif lexer.accept(")"):
+            t = _build(sig, head, [])
+        else:
+            pending.append((head, []))
+            continue
+        while pending:
+            head, args = pending[-1]
+            args.append(t)
+            if lexer.accept(","):
+                break
+            lexer.expect(")")
+            pending.pop()
+            t = _build(sig, head, args)
+        else:
+            return t
+
+
+def _build(sig: Signature, head: Token, args: list | None) -> Term:
+    """The term `head` applied to `args`; None means no parentheses."""
     sym = sig.lookup(head.text)
     if sym is None:
         if args is not None:
@@ -316,7 +374,7 @@ def parse_term_tokens(lexer: Lexer, sig: Signature) -> Term:
                 f"undeclared numeral constant {head.text!r}", head.line, head.col
             )
         return Var(head.text)
-    lexer.check_arity(head, sym.arity, args)
+    Lexer.check_arity(head, sym.arity, args)
     return App(sym, tuple(args or ()))
 
 

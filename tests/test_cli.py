@@ -82,6 +82,28 @@ class TestExitCodes:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
 
+    def test_divergent_mu_in_tail_position(self):
+        # Each unfolding is a tail call, so only fuel cuts the run short.
+        proc = run_cli(
+            [
+                "eval", "--file", "docs/rex.trs",
+                "--strategy", "mu X . seq(try(r1), X)", "--term", "a",
+            ]
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+
+    def test_eval_reads_deep_term(self, tmp_path):
+        tower = tmp_path / "tower.trs"
+        tower.write_text("sig a/0 f/1\nrule u : f(x) => x\n")
+        term = "f(" * 10_000 + "a" + ")" * 10_000
+        proc = run_cli(
+            ["eval", "--file", str(tower), "--strategy", "repeat(u)", "--term", term,
+             "--fuel", "50000"]
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "value: a\n"
+
     def test_theory_error_cites_location(self, tmp_path):
         bad = tmp_path / "bad.trs"
         bad.write_text("sig a/0\nrule r : a => zap(a)\n")

@@ -473,13 +473,27 @@ class TestReference:
         assert outcome(rex, s, term, 400) == (STK if want is None else Value(want))
         assert cost(rex, s, term, 400) == spent
 
+    @pytest.mark.parametrize("text", ["mu X . first(seq(u,X),id)", "repeat(u)"])
     @pytest.mark.parametrize("n", [0, 1, 7, 200])
-    def test_mu_unwrap_cost(self, n):
-        # Per f: first, seq, u and X; then first, seq, failing u, id and the mu.
+    def test_unwrap_cost(self, text, n):
+        # mu: per f, first, seq, u and X; at the end first, seq, the failing
+        # u, id and the mu.  repeat: per f, try, seq, u and X; at the end
+        # try, seq, the failing u, the mu and the repeat.
         th = load_theory(TOWER_TEXT)
-        s = parse_strategy("mu X . first(seq(u,X),id)", th.rules, th.signature)
+        s = parse_strategy(text, th.rules, th.signature)
         term, a = tower(th, n), tower(th, 0)
         assert reference_eval(s, term, th.rules, 4 * n + 5) == (a, 4 * n + 5)
+        assert eval_strategy(s, term, th.rules, 4 * n + 5) == Value(a)
+        with pytest.raises(FuelExhausted):
+            eval_strategy(s, term, th.rules, 4 * n + 4)
+
+    @pytest.mark.parametrize("text", ["mu X . first(seq(u,X),id)", "repeat(u)"])
+    def test_depth_is_bounded_by_fuel_only(self, text):
+        # Both cost 4n+5 on f^n(a); 10^5 levels are far past the recursion limit.
+        n = 100_000
+        th = load_theory(TOWER_TEXT)
+        s = parse_strategy(text, th.rules, th.signature)
+        term, a = tower(th, n), tower(th, 0)
         assert eval_strategy(s, term, th.rules, 4 * n + 5) == Value(a)
         with pytest.raises(FuelExhausted):
             eval_strategy(s, term, th.rules, 4 * n + 4)

@@ -92,6 +92,19 @@ class TestConstruction:
         assert hash(deep[0]) == hash(deep[1])
         assert print_term(deep[0]) == "s(" * 10_000 + "0" + ")" * 10_000
 
+    def test_equality_at_any_depth(self):
+        s, zero = Symbol("s", 1), App(Symbol("0", 0))
+        deep = []
+        for n in (10_000, 10_000, 9_999):
+            term = zero
+            for _ in range(n):
+                term = App(s, (term,))
+            deep.append(term)
+        assert deep[0] is not deep[1]
+        assert deep[0] == deep[1] and not deep[0] != deep[1]
+        assert deep[0] != deep[2] and deep[0] != App(s, (Var("x"),))
+        assert deep[0] != Var("x") and deep[0] != "s"
+
     def test_pickle_rebuilds_the_hash(self, rex):
         term = t(rex, "h(f(a),plus(s(0),x))")
         data = pickle.dumps(term)
