@@ -308,4 +308,3 @@ def reference_eval(s: StrategyExpr, t: Term, rs: RuleSet, fuel: int):
     except Exhausted:
         return REF_EXHAUSTED, fuel
     return result, fuel - left
-

@@ -497,4 +497,3 @@ class TestReference:
         assert eval_strategy(s, term, th.rules, 4 * n + 5) == Value(a)
         with pytest.raises(FuelExhausted):
             eval_strategy(s, term, th.rules, 4 * n + 4)
-
