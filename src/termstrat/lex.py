@@ -4,9 +4,10 @@ Tokens: identifiers ([A-Za-z][A-Za-z0-9_]*), numerals ([0-9]+), and the
 punctuation used by the concrete grammars.  `#` starts a comment running to
 end of line.  Whitespace separates tokens and is otherwise insignificant.
 
-Every grammar builds on `Lexer.application`, which reads `head` or
-`head(arg, ...)`, and on `Lexer.check_arity`, which reports a wrong argument
-count at the head's line and column.
+Every grammar is read by `parse_tree`, one loop over a stack of open frames,
+so nesting depth is bounded by memory, not by the recursion limit.
+`application` reads `head` or opens `head(arg, ...)`, and `check_arity`
+reports a wrong argument count at the head's line and column.
 """
 
 from __future__ import annotations
@@ -55,12 +56,12 @@ class Lexer:
         return tok
 
     def accept(self, kind: str) -> Token | None:
-        if self.peek().kind == kind:
+        if self._tokens[self._index].kind == kind:  # not `peek`: a call per token costs
             return self.next()
         return None
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
+        tok = self._tokens[self._index]
         if tok.kind != kind:
             want = what or f"'{kind}'"
             raise ParseError(f"expected {want}, found {_describe(tok)}", tok.line, tok.col)
@@ -75,35 +76,6 @@ class Lexer:
         tok = self.peek()
         return ParseError(message, tok.line, tok.col)
 
-    def head(self, what: str) -> Token:
-        """Consume the head of an application: an identifier or numeral."""
-        tok = self.peek()
-        if tok.kind != "ident" and tok.kind != "num":
-            raise ParseError(f"expected {what}, found {_describe(tok)}", tok.line, tok.col)
-        return self.next()
-
-    def application(
-        self, what: str, parse_arg, parens: bool = False
-    ) -> tuple[Token, list | None]:
-        """Parse `head` or `head(arg, ...)`; the head is an identifier or numeral.
-
-        `parse_arg` parses one argument from this lexer.  The argument list
-        is None when no parentheses follow the head, so `a` and `a()` can be
-        told apart; with `parens` the parentheses are required.
-        """
-        head = self.head(what)
-        if parens:
-            self.expect("(")
-        elif not self.accept("("):
-            return head, None
-        args = []
-        if not self.accept(")"):
-            args.append(parse_arg())
-            while self.accept(","):
-                args.append(parse_arg())
-            self.expect(")")
-        return head, args
-
     @staticmethod
     def check_arity(head: Token, expected: int, args: list | None) -> None:
         """Raise ParseArityError at `head` unless `args` has `expected` entries."""
@@ -112,6 +84,53 @@ class Lexer:
             raise ParseArityError(
                 f"{head.text} expects {expected} argument(s), got {got}", head.line, head.col
             )
+
+
+def parse_tree(lexer: Lexer, operand):
+    """Read one tree by a loop over a stack of open frames.
+
+    A frame is a tuple `(read, build, head, sep, close, args)`: `read`
+    reads its operands, separated by `sep` tokens; after the last one the
+    `close` token, if any, is expected, and `build(head, args)` makes the
+    node.  `operand(lexer)`, like `read`, returns a node or the frame it
+    opened; a `read` of None is `operand`, so that no reader refers to
+    itself and a parse leaves no reference cycle behind.
+    """
+    frames: list[tuple] = []
+    while True:
+        t = ((frames[-1][0] if frames else None) or operand)(lexer)
+        if type(t) is tuple:
+            frames.append(t)
+            continue
+        while frames:  # hand `t` to the open frames until one wants another operand
+            _, build, head, sep, close, args = frames[-1]
+            args.append(t)
+            if lexer.accept(sep):
+                break
+            if close is not None:
+                lexer.expect(close)
+            frames.pop()
+            t = build(head, args)
+        else:
+            return t
+
+
+def application(lexer: Lexer, what: str, build, read, parens: bool = False):
+    """Read `head`, or `head(` and open the frame of its arguments.
+
+    `build(head, None)` makes a head without parentheses, told apart from
+    `head()`; `parens` requires them.
+    """
+    head = lexer.next()
+    if head.kind != "ident" and head.kind != "num":
+        raise ParseError(f"expected {what}, found {_describe(head)}", head.line, head.col)
+    if parens:
+        lexer.expect("(")
+    elif not lexer.accept("("):
+        return build(head, None)
+    if lexer.accept(")"):
+        return build(head, [])
+    return read, build, head, ",", ")", []
 
 
 def _describe(tok: Token) -> str:

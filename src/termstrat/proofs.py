@@ -15,7 +15,9 @@ Concrete syntax:
 (replacement) or a symbol (congruence / embedded term); one that names both
 is rejected as ambiguous.  Congruence nodes whose children are all embedded
 terms collapse to a single embedded term, so plain terms parse as
-themselves.
+themselves.  Parsing, printing, `infer` and both conversions keep their
+own stacks, so nesting depth is bounded by memory, not by the recursion
+limit.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     TermstratError,
     UnknownSymbol,
 )
-from .lex import Lexer
+from .lex import Lexer, Token, application, parse_tree
 from .rules import Rule, RuleSet, StepLabel, rewrite_at
 from .terms import (
     App,
@@ -43,6 +45,7 @@ from .terms import (
     Var,
     apply_subst,
     print_term,
+    print_tree,
     subterm_at,
     subterms,
 )
@@ -131,51 +134,53 @@ def infer(pi: ProofTerm, rs: RuleSet) -> Sequent:
     chain composes, provided the intermediates agree (ComposeError with
     both otherwise).  A replacement of rule l: lhs => rhs instantiates lhs
     with the argument sources and rhs with the argument targets.
+
+    One post-order walk on an explicit stack, operands left to right, so
+    depth is not bounded by the recursion limit and the first error wins.
     """
-    match pi:
-        case Embed(term=t):
-            return Sequent(t, t)
-        case Cong(symbol=f, args=args):
-            seqs = [infer(a, rs) for a in args]
-            return Sequent(
-                App(f, tuple(s.source for s in seqs)),
-                App(f, tuple(s.target for s in seqs)),
-            )
-        case Trans():
-            first, *rest = _chain(pi)
-            seq = infer(first, rs)
-            for part in rest:
-                nxt = infer(part, rs)
-                if seq.target != nxt.source:
-                    raise ComposeError(seq.target, nxt.source)
-                seq = Sequent(seq.source, nxt.target)
-            return seq
-        case Repl(rule_label=label, args=args):
-            rule = rs.lookup(label)
-            if len(args) != len(rule.params):
-                raise ArityError(
-                    f"rule {label} has {len(rule.params)} parameter(s), "
-                    f"got {len(args)} argument(s)"
-                )
-            if not args:
-                return Sequent(rule.lhs, rule.rhs)
-            seqs = [infer(a, rs) for a in args]
-            src = Substitution.of(dict(zip(rule.params, (s.source for s in seqs))))
-            tgt = Substitution.of(dict(zip(rule.params, (s.target for s in seqs))))
-            return Sequent(apply_subst(src, rule.lhs), apply_subst(tgt, rule.rhs))
-    raise TypeError(f"not a proof term: {pi!r}")
-
-
-def _chain(pi: Trans) -> list:
-    """The operands of the `;` chain `pi`, found by a loop down its left spine.
-
-    A parenthesised right operand is itself a chain and is returned whole.
-    """
-    rights = []
-    while isinstance(pi, Trans):
-        pi, right = pi.first, pi.second
-        rights.append(right)
-    return [pi, *reversed(rights)]
+    done: list = []  # sequents of the finished subproofs, in post-order
+    # Subproofs to visit; under the operands of a node lies `(node,)`,
+    # which combines their sequents once they are done.
+    stack: list = [pi]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Embed:
+            done.append(Sequent(node.term, node.term))
+        elif kind is Trans:
+            stack += ((node,), node.second, node.first)
+        elif kind is Cong or kind is Repl:
+            if kind is Repl:
+                rule = rs.lookup(node.rule_label)
+                if len(node.args) != len(rule.params):
+                    raise ArityError(
+                        f"rule {node.rule_label} has {len(rule.params)} parameter(s), "
+                        f"got {len(node.args)} argument(s)"
+                    )
+                if not node.args:
+                    done.append(Sequent(rule.lhs, rule.rhs))
+                    continue
+            stack += ((node,), *reversed(node.args))
+        elif kind is not tuple:
+            raise TypeError(f"not a proof term: {node!r}")
+        elif type(node[0]) is Trans:
+            left, right = done[-2:]
+            if left.target != right.source:
+                raise ComposeError(left.target, right.source)
+            done[-2:] = [Sequent(left.source, right.target)]
+        else:
+            node = node[0]
+            n = len(done) - len(node.args)
+            sources = tuple(s.source for s in done[n:])
+            targets = tuple(s.target for s in done[n:])
+            if type(node) is Cong:
+                done[n:] = [Sequent(App(node.symbol, sources), App(node.symbol, targets))]
+            else:
+                rule = rs.lookup(node.rule_label)
+                src = apply_subst(Substitution.of(dict(zip(rule.params, sources))), rule.lhs)
+                tgt = apply_subst(Substitution.of(dict(zip(rule.params, targets))), rule.rhs)
+                done[n:] = [Sequent(src, tgt)]
+    return done[0]
 
 
 def check(pi: ProofTerm, t: Term, t2: Term, rs: RuleSet) -> bool:
@@ -235,8 +240,8 @@ def to_derivation(pi: ProofTerm, rs: RuleSet) -> Derivation:
 def _firings(pi: ProofTerm, rs: RuleSet):
     """Yield the (absolute path, rule) pairs `to_derivation` fires, in order.
 
-    The walk keeps its own stack, so `to_derivation` recurses no deeper
-    than `infer` does.
+    The walk keeps its own stack, as `infer` does, so the depth of `pi` is
+    not bounded by the recursion limit.
     """
     stack: list = [(pi, ())]
     while stack:
@@ -275,58 +280,70 @@ def apply_proof_set(proofs, t: Term, rs: RuleSet) -> set:
 
 def parse_proof(text: str, rs: RuleSet, sig: Signature) -> ProofTerm:
     lexer = Lexer(text)
-    pi = _parse_seq(lexer, rs, sig)
+
+    def build(head: Token, args: list | None) -> ProofTerm:
+        # None for `args` means no parentheses followed the head.
+        name = head.text
+        if name in rs:
+            Lexer.check_arity(head, len(rs.lookup(name).params), args)
+            return Repl(name, tuple(args or ()))
+        sym = sig.lookup(name)
+        if sym is not None:
+            Lexer.check_arity(head, sym.arity, args)
+            return cong(sym, args or ())
+        if args or head.kind == "num":
+            raise UnknownSymbol(
+                f"{name!r} is neither a rule label nor a symbol", head.line, head.col
+            )
+        return Embed(Var(name))
+
+    def chain(lexer: Lexer) -> tuple:  # each argument, and the whole text, is a `;` chain
+        return operand, _join, None, ";", None, []
+
+    def operand(lexer: Lexer) -> ProofTerm | tuple:
+        if lexer.accept("("):
+            return None, _join, None, None, ")", []
+        tok = lexer.peek()
+        if tok.text in rs and sig.lookup(tok.text) is not None:
+            raise AmbiguousIdent(
+                f"{tok.text!r} is both a rule label and a symbol", tok.line, tok.col
+            )
+        return application(lexer, "a proof term", build, None)
+
+    pi = parse_tree(lexer, chain)
     lexer.expect_end()
     return pi
 
 
-def _parse_seq(lexer: Lexer, rs: RuleSet, sig: Signature) -> ProofTerm:
-    left = _parse_atom(lexer, rs, sig)
-    while lexer.accept(";"):
-        left = Trans(left, _parse_atom(lexer, rs, sig))
-    return left
-
-
-def _parse_atom(lexer: Lexer, rs: RuleSet, sig: Signature) -> ProofTerm:
-    if lexer.accept("("):
-        inner = _parse_seq(lexer, rs, sig)
-        lexer.expect(")")
-        return inner
-    tok = lexer.peek()
-    if tok.text in rs and sig.lookup(tok.text) is not None:
-        raise AmbiguousIdent(
-            f"{tok.text!r} is both a rule label and a symbol", tok.line, tok.col
-        )
-    head, args = lexer.application("a proof term", lambda: _parse_seq(lexer, rs, sig))
-    name = head.text
-    if name in rs:
-        lexer.check_arity(head, len(rs.lookup(name).params), args)
-        return Repl(name, tuple(args or ()))
-    sym = sig.lookup(name)
-    if sym is not None:
-        lexer.check_arity(head, sym.arity, args)
-        return cong(sym, args or ())
-    if args or head.kind == "num":
-        raise UnknownSymbol(
-            f"{name!r} is neither a rule label nor a symbol", head.line, head.col
-        )
-    return Embed(Var(name))
+def _join(head, operands: list) -> ProofTerm:
+    """The operands of a `;` chain, composed left-associatively."""
+    return reduce(Trans, operands)
 
 
 def print_proof(pi: ProofTerm) -> str:
     """Canonical text form; parses back to the same proof term."""
-    match pi:
-        case Embed(term=t):
-            return print_term(t)
-        case Cong(symbol=f, args=args):
-            return f"{f.name}({','.join(print_proof(a) for a in args)})"
-        case Repl(rule_label=label, args=args):
-            if not args:
-                return label
-            return f"{label}({','.join(print_proof(a) for a in args)})"
-        case Trans():
-            return " ; ".join(
-                f"({print_proof(p)})" if isinstance(p, Trans) else print_proof(p)
-                for p in _chain(pi)
-            )
-    raise TypeError(f"not a proof term: {pi!r}")
+    return print_tree(pi, _proof_items)
+
+
+def _proof_items(pi: ProofTerm) -> list:
+    """The print items of one proof node for `print_tree`.
+
+    A `;` chain prints flat down its left spine; a right operand that is
+    itself a chain is parenthesised.
+    """
+    kind = type(pi)
+    if kind is Trans:
+        right = pi.second
+        return [pi.first, " ; (", right, ")"] if type(right) is Trans else [pi.first, " ; ", right]
+    if kind is Embed:
+        return [pi.term]
+    if kind is not Cong and kind is not Repl:
+        raise TypeError(f"not a proof term: {pi!r}")
+    name = pi.symbol.name if kind is Cong else pi.rule_label
+    if not pi.args:
+        return [name]
+    items = [name + "("]
+    for a in pi.args:
+        items += (a, ",")
+    items[-1] = ")"
+    return items

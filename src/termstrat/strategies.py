@@ -16,15 +16,18 @@ Concrete syntax:
 
     s := id | fail | <rule-label> | seq(s,s) | first(s,s) | try(s)
        | not(s) | ifTE(s,s,s) | repeat(s) | occurs(<term>) | mu X . s | X
+
+The parser and printer keep their own stacks, so the nesting depth of an
+expression is bounded by memory, not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields
-from functools import partial
 
 from .errors import Fuel, UnboundSVar
-from .lex import Lexer
+from .lex import Lexer, Token, application, parse_tree
 from .rules import RuleSet
 from .terms import (
     Signature,
@@ -32,7 +35,7 @@ from .terms import (
     apply_subst,
     match,
     parse_term_tokens,
-    print_term,
+    print_tree,
     subterms,
 )
 
@@ -285,52 +288,71 @@ def parse_strategy(
 
 
 def parse_strategy_tokens(
-    lexer: Lexer, rs: RuleSet, sig: Signature, named: dict, bound: frozenset = frozenset()
+    lexer: Lexer, rs: RuleSet, sig: Signature, named: dict
 ) -> StrategyExpr:
-    name = lexer.peek().text
-    ctor, arity = _KEYWORDS.get(name, (None, 0))
-    if ctor is Mu:
-        lexer.next()
-        var = lexer.expect("ident", "recursion variable").text
-        if var in _KEYWORDS:
-            raise lexer.error(f"{var!r} is reserved and cannot be bound by mu")
-        lexer.expect(".")
-        return Mu(var, parse_strategy_tokens(lexer, rs, sig, named, bound | {var}))
-    if arity:
-        if ctor is Occurs:
-            parse_arg = partial(parse_term_tokens, lexer, sig)
-        else:
-            parse_arg = partial(parse_strategy_tokens, lexer, rs, sig, named, bound)
-        head, args = lexer.application("a strategy", parse_arg, parens=True)
-        lexer.check_arity(head, arity, args)
+    """Parse one strategy expression from an open token stream."""
+    # The variables of the enclosing mus, counted: each mu frame adds its own
+    # and removes it when its body is read, so a mu chain parses in linear time.
+    bound: Counter = Counter()
+
+    def build(head: Token, args: list) -> StrategyExpr:
+        ctor, arity = _KEYWORDS[head.text]
+        Lexer.check_arity(head, arity, args)
         return ctor(*args)
-    tok = lexer.expect("ident", "a strategy")
-    if ctor is not None:
-        return ctor()
-    if name in bound:
-        return SVar(name)
-    if name in rs:
-        return RuleRef(name)
-    if name in named:
-        return named[name]
-    raise UnboundSVar(
-        f"{name!r} is not a bound variable, rule label, or named strategy",
-        tok.line,
-        tok.col,
-    )
+
+    def close_mu(var: str, args: list) -> Mu:
+        bound[var] -= 1
+        return Mu(var, args[0])
+
+    def operand(lexer: Lexer) -> StrategyExpr | tuple:
+        name = lexer.peek().text
+        ctor, arity = _KEYWORDS.get(name, (None, 0))
+        if ctor is Mu:
+            lexer.next()
+            var = lexer.expect("ident", "recursion variable").text
+            if var in _KEYWORDS:
+                raise lexer.error(f"{var!r} is reserved and cannot be bound by mu")
+            lexer.expect(".")
+            bound[var] += 1
+            return None, close_mu, var, None, None, []
+        if arity:
+            read = None if ctor is not Occurs else lambda lexer: parse_term_tokens(lexer, sig)
+            return application(lexer, "a strategy", build, read, parens=True)
+        tok = lexer.expect("ident", "a strategy")
+        if ctor is not None:
+            return ctor()
+        if bound[name]:
+            return SVar(name)
+        if name in rs:
+            return RuleRef(name)
+        if name in named:
+            return named[name]
+        raise UnboundSVar(
+            f"{name!r} is not a bound variable, rule label, or named strategy",
+            tok.line,
+            tok.col,
+        )
+
+    return parse_tree(lexer, operand)
 
 
 def print_strategy(s: StrategyExpr) -> str:
     """Canonical text form; parses back to the same expression."""
+    return print_tree(s, _strategy_items)
+
+
+def _strategy_items(s: StrategyExpr) -> list:
+    """The print items of one strategy node for `print_tree`."""
     match s:
         case RuleRef(label=name) | SVar(var=name):
-            return name
+            return [name]
         case Mu(var=x, body=body):
-            return f"mu {x} . {print_strategy(body)}"
-        case Occurs(pattern=g):
-            return f"occurs({print_term(g)})"
+            return [f"mu {x} . ", body]
     keyword = _SPELLING.get(type(s))
     if keyword is None:
         raise TypeError(f"not a strategy expression: {s!r}")
-    operands = [print_strategy(getattr(s, f.name)) for f in fields(s)]
-    return f"{keyword}({','.join(operands)})" if operands else keyword
+    items = [keyword + "("]
+    for f in fields(s):
+        items += (getattr(s, f.name), ",")
+    items[-1] = ")" if len(items) > 1 else keyword
+    return items

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ArityError, InvalidPosition, UnknownSymbol
-from .lex import Lexer, Token
+from .lex import Lexer, Token, application, parse_tree
 
 NAME_RE = re.compile(r"(?:[A-Za-z][A-Za-z0-9_]*|[0-9]+)\Z")
 VAR_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -224,9 +224,6 @@ class Substitution:
                 return t
         return None
 
-    def domain(self) -> frozenset:
-        return frozenset(n for n, _ in self.pairs)
-
     def items(self):
         return iter(self.pairs)
 
@@ -236,9 +233,6 @@ class Substitution:
     def __str__(self) -> str:
         inner = ",".join(f"{n}->{t}" for n, t in self.pairs)
         return "{" + inner + "}"
-
-
-EMPTY_SUBST = Substitution()
 
 
 def subterms(t: Term):
@@ -311,20 +305,37 @@ def match(pattern: Term, subject: Term) -> Substitution | None:
             elif bound != s:
                 return None
         else:
-            if not isinstance(s, App) or s.symbol != p.symbol:
+            if not isinstance(s, App) or (s.symbol is not p.symbol and s.symbol != p.symbol):
                 return None
             stack.extend(zip(p.args, s.args))
     return Substitution.of(bindings)
 
 
 def apply_subst(subst: Substitution, t: Term) -> Term:
-    """Simultaneously replace every bound variable; unbound ones stay as-is."""
-    if isinstance(t, Var):
-        bound = subst.get(t.name)
-        return t if bound is None else bound
-    if not t.args:
+    """Simultaneously replace every bound variable; unbound ones stay as-is.
+
+    A post-order walk on an explicit stack, so the depth of `t` is not
+    bounded by the interpreter's recursion limit.
+    """
+    if type(t) is App and not t.args:
         return t
-    return App(t.symbol, tuple(apply_subst(subst, a) for a in t.args))
+    done = []  # images of the finished subterms, in post-order
+    # Subterms to visit; under an application's arguments lies its symbol,
+    # which rebuilds it from their images once they are done.
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is Symbol:
+            n = len(done) - node.arity
+            done[n:] = [App(node, tuple(done[n:]))]
+        elif type(node) is Var:
+            bound = subst.get(node.name)
+            done.append(node if bound is None else bound)
+        elif node.args:
+            stack += (node.symbol, *reversed(node.args))
+        else:
+            done.append(node)
+    return done[0]
 
 
 def parse_term(text: str, sig: Signature) -> Term:
@@ -337,64 +348,54 @@ def parse_term(text: str, sig: Signature) -> Term:
 def parse_term_tokens(lexer: Lexer, sig: Signature) -> Term:
     """Parse one term from an open token stream (shared by the file formats).
 
-    A loop over a stack of open applications, so the depth of the term is
-    not bounded by the interpreter's recursion limit.  Each application is
-    checked against `sig` when its closing parenthesis has been read.
+    Read by `parse_tree`, so the depth of the term is not bounded by the
+    interpreter's recursion limit.  Each application is checked against
+    `sig` when its closing parenthesis has been read.
     """
-    pending = []  # (head token, arguments read so far) of each open application
-    while True:
-        head = lexer.head("a term")
-        if not lexer.accept("("):
-            t = _build(sig, head, None)
-        elif lexer.accept(")"):
-            t = _build(sig, head, [])
-        else:
-            pending.append((head, []))
-            continue
-        while pending:
-            head, args = pending[-1]
-            args.append(t)
-            if lexer.accept(","):
-                break
-            lexer.expect(")")
-            pending.pop()
-            t = _build(sig, head, args)
-        else:
-            return t
 
+    def build(head: Token, args: list | None) -> Term:
+        # None for `args` means no parentheses followed the head.
+        sym = sig.lookup(head.text)
+        if sym is None:
+            if args is not None:
+                raise UnknownSymbol(f"undeclared symbol {head.text!r}", head.line, head.col)
+            if head.kind == "num":
+                raise UnknownSymbol(
+                    f"undeclared numeral constant {head.text!r}", head.line, head.col
+                )
+            return Var(head.text)
+        Lexer.check_arity(head, sym.arity, args)
+        return App(sym, tuple(args or ()))
 
-def _build(sig: Signature, head: Token, args: list | None) -> Term:
-    """The term `head` applied to `args`; None means no parentheses."""
-    sym = sig.lookup(head.text)
-    if sym is None:
-        if args is not None:
-            raise UnknownSymbol(f"undeclared symbol {head.text!r}", head.line, head.col)
-        if head.kind == "num":
-            raise UnknownSymbol(
-                f"undeclared numeral constant {head.text!r}", head.line, head.col
-            )
-        return Var(head.text)
-    Lexer.check_arity(head, sym.arity, args)
-    return App(sym, tuple(args or ()))
+    def operand(lexer: Lexer) -> Term | tuple:
+        return application(lexer, "a term", build, None)
+
+    return parse_tree(lexer, operand)
 
 
 def print_term(t: Term) -> str:
-    """Canonical text form; `parse_term(print_term(t), sig)` gives back `t`.
+    """Canonical text form; `parse_term(print_term(t), sig)` gives back `t`."""
+    return print_tree(t, None)
 
-    Built on an explicit stack, so the depth of `t` is not bounded by the
-    interpreter's recursion limit.
+
+def print_tree(root, expand) -> str:
+    """The text of a term, or of a tree with terms in it.
+
+    Built on an explicit stack of items, so depth is not bounded by the
+    interpreter's recursion limit.  Strings and terms print as themselves;
+    another node is replaced by `expand(node)`, its items in print order.
     """
     parts = []
-    stack = [t]
+    stack = [root]
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
+        kind = type(item)
+        if kind is str:
             parts.append(item)
-        elif isinstance(item, Var):
-            parts.append(item.name)
-        elif not item.args:
-            parts.append(item.symbol.name)
-        else:
+        elif kind is App:
+            if not item.args:
+                parts.append(item.symbol.name)
+                continue
             parts.append(item.symbol.name + "(")
             stack.append(")")
             args = item.args
@@ -402,4 +403,8 @@ def print_term(t: Term) -> str:
                 stack.append(args[k])
                 stack.append(",")
             stack.append(args[0])
+        elif kind is Var:
+            parts.append(item.name)
+        else:
+            stack.extend(reversed(expand(item)))
     return "".join(parts)

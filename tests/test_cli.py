@@ -11,6 +11,7 @@ from termstrat.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO / "docs" / "examples"
+DEEP = 10_000  # nesting far past the default recursion limit
 
 
 def read_golden(path: Path):
@@ -103,6 +104,56 @@ class TestExitCodes:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "value: a\n"
+
+    @pytest.mark.parametrize(
+        "args, code, out",
+        [
+            (["eval", "--strategy", "try(" * DEEP + "p" + ")" * DEEP], 0, "value: b\n"),
+            (["eval", "--strategy", "seq(id," * DEEP + "p" + ")" * DEEP], 0, "value: b\n"),
+            (["eval", "--strategy", "".join(f"mu X{i} . " for i in range(DEEP)) + "p"],
+             0, "value: b\n"),
+            (["eval", "--strategy", "occurs(" + "f(" * DEEP + "a" + ")" * DEEP + ")"],
+             1, "stk\n"),
+            (["check-proof", "--proof", "f(" * DEEP + "p" + ")" * DEEP],
+             0, "f(" * DEEP + "a" + ")" * DEEP + " -> " + "f(" * DEEP + "b" + ")" * DEEP + "\n"),
+            (["check-proof", "--proof", "(" * DEEP + "p" + ")" * DEEP], 0, "a -> b\n"),
+            (["check-proof", "--proof", " ; (".join(["p", "q"] * (DEEP // 2)) + ")" * (DEEP - 1)],
+             0, "a -> a\n"),
+            (["normalize", "--term", "f(" * DEEP + "a" + ")" * DEEP, "--intensional", "innermost"],
+             0, "f(" * DEEP + "c" + ")" * DEEP + "\n"),
+            (["derive", "--term", "f(" * DEEP + "a" + ")" * DEEP, "--depth", "1"],
+             0, "f(" * DEEP + "a" + ")" * DEEP + "\n" + "f(" * DEEP + "a" + ")" * DEEP
+             + " -[" + ".".join("1" * DEEP) + ",p]-> " + "f(" * DEEP + "b" + ")" * DEEP + "\n"),
+        ],
+        ids=["eval-try", "eval-seq", "eval-mu-chain", "eval-occurs", "proof-congruence",
+             "proof-parentheses", "proof-right-nested", "normalize", "derive"],
+    )
+    def test_deep_input(self, tmp_path, args, code, out):
+        theory = tmp_path / "deep.trs"
+        theory.write_text("sig a/0 b/0 c/0 f/1\nrule p : a => b\nrule q : b => a\nrule r : b => c\n")
+        if args[0] == "eval":
+            args += ["--term", "a", "--fuel", str(10 * DEEP)]
+        proc = run_cli([*args, "--file", str(theory)])
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stdout) == (code, out)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["eval", "--strategy", "grow", "--term", "g(a)"],
+            ["normalize", "--term", "g(a)"],
+            ["derive", "--term", "g(a)", "--depth", "1"],
+            ["check-proof", "--proof", "grow(a)"],
+        ],
+        ids=["eval", "normalize", "derive", "check-proof"],
+    )
+    def test_deep_rule_side(self, tmp_path, args):
+        grow = tmp_path / "grow.trs"
+        grow.write_text("sig a/0 f/1 g/1\nrule grow : g(x) => " + "f(" * DEEP + "x" + ")" * DEEP)
+        proc = run_cli([*args, "--file", str(grow)])
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0
+        assert "f(" * DEEP + "a" + ")" * DEEP in proc.stdout
 
     def test_theory_error_cites_location(self, tmp_path):
         bad = tmp_path / "bad.trs"

@@ -14,6 +14,7 @@ from termstrat import (
     Cong,
     Derivation,
     Embed,
+    ParseError,
     Position,
     ROOT,
     Repl,
@@ -34,12 +35,19 @@ from termstrat import (
     parse_term,
     print_derivation,
     print_proof,
+    print_term,
     rewrite_at,
     to_derivation,
 )
 from gen import brute_derivations, random_ground_term, random_proof
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+DEEP = 10_000
+FLIP = load_theory("sig a/0 b/0 f/1\nrule p : a => b\nrule q : b => a\n")
+# p ; (q ; (p ; ... (p ; q))), DEEP operands: right-nested, printed as it reads.
+RIGHT_CHAIN = " ; (".join(["p", "q"] * (DEEP // 2 - 1) + ["p"]) + " ; q" + ")" * (DEEP - 2)
 
 
 def t(rex, text):
@@ -302,6 +310,9 @@ class TestParsePrint:
     def test_grouping_parens(self, rex):
         pi = pp(rex, "r1 ; (r1 ; r1)")
         assert pi == Trans(Repl("r1", ()), Trans(Repl("r1", ()), Repl("r1", ())))
+        with pytest.raises(ParseError) as exc:
+            pp(rex, "(r1, r1)")
+        assert str(exc.value) == "1:4: expected ')', found ','"
 
     def test_sequence_inside_arguments(self, rex):
         g = rex.signature.lookup("g")
@@ -334,6 +345,25 @@ class TestParsePrint:
         assert print_proof(pp(rex, "f(g(r1))")) == "f(g(r1))"
         assert print_proof(pp(rex, "r1 ; (r1 ; r1)")) == "r1 ; (r1 ; r1)"
         assert print_proof(pp(rex, "r1 ; r1 ; r1")) == "r1 ; r1 ; r1"
+
+    @pytest.mark.parametrize(
+        "text, printed, sequent",
+        [
+            (
+                "f(" * DEEP + "p" + ")" * DEEP,
+                "f(" * DEEP + "p" + ")" * DEEP,
+                ("f(" * DEEP + "a" + ")" * DEEP, "f(" * DEEP + "b" + ")" * DEEP),
+            ),
+            ("(" * DEEP + "p" + ")" * DEEP, "p", ("a", "b")),
+            (RIGHT_CHAIN, RIGHT_CHAIN, ("a", "a")),
+        ],
+        ids=["congruence", "parentheses", "right-nested-chain"],
+    )
+    def test_at_depth(self, text, printed, sequent):
+        pi = parse_proof(text, FLIP.rules, FLIP.signature)
+        assert print_proof(pi) == printed
+        seq = infer(pi, FLIP.rules)
+        assert (print_term(seq.source), print_term(seq.target)) == sequent
 
     def test_roundtrip_generated(self, rex):
         rng = random.Random(23)

@@ -288,6 +288,20 @@ class TestParsePrint:
             assert parse_strategy(text, rex.rules, rex.signature) == expr
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "try(" * 10_000 + "r1" + ")" * 10_000,
+            "seq(id," * 10_000 + "r1" + ")" * 10_000,
+            "".join(f"mu X{i} . " for i in range(10_000)) + "X0",
+            "occurs(" + "f(" * 10_000 + "a" + ")" * 10_000 + ")",
+        ],
+        ids=["try", "seq", "mu-chain", "occurs"],
+    )
+    def test_roundtrip_at_depth(self, rex, text):
+        assert print_strategy(parse_strategy(text, rex.rules, rex.signature)) == text
+
+
 EXHAUSTED = "fuel exhausted"
 
 

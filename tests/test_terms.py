@@ -220,6 +220,12 @@ class TestMatch:
     def test_nonlinear_conflicting(self, rex):
         assert match(t(rex, "h(x,x)"), t(rex, "h(a,b)")) is None
 
+    def test_equal_symbols_need_not_be_identical(self):
+        a = App(Symbol("a", 0))
+        pattern = App(Symbol("f", 1), (Var("x"),))
+        assert match(pattern, App(Symbol("f", 1), (a,))) == Substitution.of({"x": a})
+        assert match(pattern, App(Symbol("g", 1), (a,))) is None
+
     def test_subject_vars_are_rigid(self, rex):
         assert match(t(rex, "a"), Var("x")) is None
         sigma = match(Var("y"), Var("x"))
@@ -288,6 +294,12 @@ class TestSubstitution:
         assert apply_subst(sigma, t(rex, "h(x,y)")) == App(
             rex.signature.lookup("h"), (Var("y"), t(rex, "a"))
         )
+
+    def test_apply_at_depth(self, rex):
+        pattern = t(rex, "h(x," * 10_000 + "f(y)" + ")" * 10_000)
+        sigma = Substitution.of({"x": t(rex, "a"), "y": t(rex, "g(b)")})
+        want = "h(a," * 10_000 + "f(g(b))" + ")" * 10_000
+        assert print_term(apply_subst(sigma, pattern)) == want
 
     def test_canonical_equality(self, rex):
         s1 = Substitution((("x", t(rex, "a")), ("y", t(rex, "b"))))
@@ -366,3 +378,15 @@ class TestParsePrint:
     def test_roundtrip(self, rex, data):
         term = data.draw(term_exprs(rex.signature))
         assert parse_term(print_term(term), rex.signature) == term
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "s(" * 10_000 + "0" + ")" * 10_000,
+            "h(a," * 10_000 + "b" + ")" * 10_000,
+            "h(" * 10_000 + "a" + ",b)" * 10_000,
+        ],
+        ids=["unary", "right-nested", "left-nested"],
+    )
+    def test_roundtrip_at_depth(self, rex, text):
+        assert print_term(t(rex, text)) == text

@@ -13,6 +13,7 @@ from termstrat import (
     eval_strategy,
     load_theory,
     parse_term,
+    print_strategy,
 )
 from termstrat.strategies import Value
 
@@ -145,6 +146,11 @@ class TestStrategySection:
 
         assert th.strategies["go"] == IfTE(RuleRef("r"), Id(), Fail())
         assert th.strategies["probe"] == Occurs(parse_term("b", th.signature))
+
+    def test_strat_line_at_depth(self):
+        text = "mu X . " + "try(seq(r," * 10_000 + "X" + "))" * 10_000
+        th = load_theory(f"sig a/0 b/0\nrule r : a => b\nstrat deep = {text}\n")
+        assert print_strategy(th.strategies["deep"]) == text
 
     def test_mu_variable_stays_local(self):
         th = load_theory(
