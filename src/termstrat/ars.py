@@ -17,8 +17,16 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import ComposeError, Fuel
-from .rules import RewriteStep, RuleSet, StepLabel, _redexes, all_redexes, apply_step
+from .errors import ComposeError, Fuel, FuelExhausted
+from .rules import (
+    RewriteStep,
+    RuleSet,
+    StepLabel,
+    _normalize_rightmost_innermost,
+    _redexes,
+    all_redexes,
+    apply_step,
+)
 from .terms import Term, print_term
 
 
@@ -266,7 +274,12 @@ def rightmost_innermost(rs: RuleSet) -> IntensionalStrategy:
         first = next(_redexes(t, rs, innermost=True, backward=True), None)
         return frozenset() if first is None else frozenset((first,))
 
-    return memoryless(choose, rs)
+    return _RightmostInnermost(lambda tr: choose(tr.current), True, rs)
+
+
+class _RightmostInnermost(IntensionalStrategy):
+    """The strategy `rightmost_innermost` returns, which `normal_forms_under`
+    may run in one bottom-up pass instead of step by step."""
 
 
 def bounded(k: int, base: IntensionalStrategy) -> IntensionalStrategy:
@@ -297,9 +310,29 @@ def normal_forms_under(zeta: IntensionalStrategy, a: Term, fuel: int) -> set:
 
     Breadth-first over traced objects; each fired step costs one unit of
     fuel, and running out with work left raises FuelExhausted.  Memoryless
-    strategies are deduplicated on the current term.
+    strategies are deduplicated on the current term, so a cycle closes
+    with no normal form.  Each step re-walks the current term for the
+    strategy's choices and rebuilds the path to the rewritten position.
+
+    A strategy made by `rightmost_innermost` first runs one bottom-up pass
+    that visits each node of `a` once and then only the nodes its rewrites
+    create, so its cost is their sum, not the term size times the steps.
+    Only when that pass finds a cycle or needs more than twice `fuel` steps
+    does the breadth-first search run: a cycle gives no normal form if the
+    fuel lasts until the term first repeats, and only the search sees that
+    step.  Results and errors are the same either way.
     """
-    spend = Fuel(fuel, f"normal-form search from {print_term(a)} ran out of fuel").spend
+    message = f"normal-form search from {print_term(a)} ran out of fuel"
+    if isinstance(zeta, _RightmostInnermost):
+        done = _normalize_rightmost_innermost(a, zeta.rules, 2 * max(fuel, 0))
+        if done is not None:
+            # A run that ends never revisits a term, so the search would
+            # reach this normal form alone after the same number of steps.
+            nf, steps = done
+            if steps == 0 or steps <= fuel:
+                return {nf}
+            raise FuelExhausted(message)
+    spend = Fuel(fuel, message).spend
     normals: set[Term] = set()
     frontier = deque([traced(a)])
     seen = {a} if zeta.memoryless else None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
+from operator import is_not
 
 from .errors import StepMismatch, UnknownLabel
 from .terms import (
@@ -195,6 +196,77 @@ def _redexes(t: Term, rs: RuleSet, innermost: bool = False, backward: bool = Fal
                 below[-1] = True
             if i:
                 path.pop()
+
+
+def _normalize_rightmost_innermost(t: Term, rs: RuleSet, budget: int):
+    """Rewrite `t` rightmost-innermost to its normal form in one post-order pass.
+
+    Returns `(normal form, steps)`, or None when more than `budget` steps
+    would be needed or the run is found to cycle.  A node's children are
+    normalized right to left, then the rules indexed under its head are
+    tried in declaration order; a rewrite puts the instantiated right-hand
+    side back on the stack to be normalized in its place.  This fires
+    exactly the steps that repeating `_redexes(innermost=True,
+    backward=True)` from the root would fire.  Nodes known to be normal are
+    remembered by identity, so the bound subterms a right-hand side copies
+    are never walked again; a node is rebuilt only when one of its children
+    changed.
+
+    While a position is being normalized nothing outside it changes, so a
+    redex that comes back at the same position means the whole term came
+    back: the run cycles.  Each position that has been rewritten keeps the
+    set of its redexes to see that.
+    """
+    by_head = rs._by_head
+    normal: dict[int, Term] = {}  # id -> node; holding the node keeps its id unique
+    done: list[Term] = []  # normal forms of finished subterms, right to left
+    # Subterms to normalize: a bare term, or `[term, seen]` for a term that
+    # replaced a redex, with the redexes `seen` at that position so far;
+    # `(node, seen)` sits under the children of `node`.
+    stack: list = [t]
+    steps = 0
+    while stack:
+        item = stack.pop()
+        kind = type(item)
+        if kind is tuple:
+            node, seen = item
+            n = len(node.args)
+            if n == 1:
+                kid = done.pop()
+                if kid is not node.args[0]:
+                    node = App(node.symbol, (kid,))
+            else:
+                kids = done[-n:]
+                del done[-n:]
+                kids.reverse()
+                if any(map(is_not, kids, node.args)):
+                    node = App(node.symbol, tuple(kids))
+        else:
+            node, seen = item if kind is list else (item, None)
+            if id(node) in normal or type(node) is Var:
+                done.append(node)
+                continue
+            if node.args:
+                stack.append((node, seen))
+                stack += node.args
+                continue
+        for rule in by_head.get(node.symbol.name, ()):
+            sigma = match(rule.lhs, node)
+            if sigma is not None:
+                steps += 1
+                if steps > budget:
+                    return None
+                if seen is None:
+                    seen = set()
+                elif node in seen:
+                    return None
+                seen.add(node)
+                stack.append([apply_subst(sigma, rule.rhs), seen])
+                break
+        else:
+            normal[id(node)] = node
+            done.append(node)
+    return done[0], steps
 
 
 def apply_step(t: Term, label: StepLabel, rs: RuleSet) -> RewriteStep:

@@ -164,7 +164,9 @@ def eval_strategy(
     free recursion variable.
     """
     spend = Fuel(fuel, "strategy evaluation ran out of fuel").spend
-    env: dict = {}
+    # The enclosing mus, innermost first, as a chain of (var, mu, enclosing)
+    # tuples; the enclosing chain is also the one the mu was defined in.
+    env = None
     # Frames (node, term, env): a node waiting on its first operand, with
     # the term and environment it was entered with.
     stack: list = []
@@ -184,16 +186,16 @@ def eval_strategy(
             s = getattr(s, _FIRST_OPERAND[kind])
             continue
         elif kind is Mu:
-            env = {**env, s.var: (s, env)}
+            env = (s.var, s, env)
             s = s.body
             continue
         elif kind is SVar:
-            bound = env.get(s.var)
-            if bound is None:
+            # Unfolding runs the body in the chain that starts at its binder.
+            while env is not None and env[0] != s.var:
+                env = env[2]
+            if env is None:
                 raise UnboundSVar(f"strategy variable {s.var} is not bound")
-            mu, defenv = bound
-            s = mu.body
-            env = {**defenv, mu.var: bound}
+            s = env[1].body
             continue
         elif kind is Id:
             r = Value(t)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import termstrat.rules
 from termstrat import (
@@ -388,21 +390,77 @@ class TestNormalForms:
             normal_forms_under(history_sensitive, a, 50)
 
     @pytest.mark.parametrize("n", [25, 50])
-    def test_rightmost_innermost_match_work_is_linear(self, peano, monkeypatch, n):
-        # Each of the n `ps` steps tries p0 and ps at the one plus node and
-        # replays ps; the final `p0` step tries p0 and replays it: 3n + 2.
-        # Scanning every node with every rule costs about 4n^2 instead.
-        calls = 0
-        real = termstrat.rules.match
-
-        def counted(pattern, subject):
-            nonlocal calls
-            calls += 1
-            return real(pattern, subject)
-
-        monkeypatch.setattr(termstrat.rules, "match", counted)
+    def test_rightmost_innermost_match_work_is_linear(self, peano, match_calls, n):
+        # Each of the n `ps` steps tries p0 and ps at the one plus node; the
+        # final `p0` step tries p0: 2n + 1.  Nothing is matched twice, and
+        # no `s` node is matched at all.  Replaying each chosen step costs
+        # n + 1 more; scanning every node with every rule about 4n^2.
         num = "s(" * n + "0" + ")" * n
         term = t(peano, f"plus({num},{num})")
         got = normal_forms_under(rightmost_innermost(peano.rules), term, 10 * n)
         assert got == {t(peano, "s(" * 2 * n + "0" + ")" * 2 * n)}
-        assert calls <= 3 * n + 2
+        assert match_calls[0] <= 2 * n + 1
+
+    def test_rightmost_innermost_cycle_found_early(self, match_calls):
+        # plus(a,b) -ab-> plus(b,b) -comm-> plus(b,b): the pass stops when the
+        # redex plus(b,b) comes back (3 matches), and the search then takes
+        # 2 steps at 2 matches each.  Running the pass out to twice the fuel
+        # would cost 2 * 10^4 matches.
+        term = parse_term("plus(a,b)", CYCLE.signature)
+        assert normal_forms_under(rightmost_innermost(CYCLE.rules), term, 10**4) == set()
+        assert match_calls[0] <= 7
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rightmost_innermost_agrees_with_search(self, rex, peano, data):
+        # rightmost_innermost(rs) runs a bottom-up pass; a strategy built
+        # from its chooser alone runs the breadth-first search, step by step.
+        th = data.draw(st.sampled_from([rex, peano, TOWER, CYCLE]))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        term = random_ground_term(rng, th.signature, data.draw(st.integers(1, 5)))
+        fast = rightmost_innermost(th.rules)
+        search = IntensionalStrategy(fast.choose, True, th.rules)
+        steps = run_length(search, term, 60)
+        for fuel in range(-1, steps + 3):
+            assert nf_outcome(fast, term, fuel) == nf_outcome(search, term, fuel)
+
+
+@pytest.fixture
+def match_calls(monkeypatch):
+    """A one-item list counting the calls to the `match` of `rules.py`."""
+    calls = [0]
+    real = termstrat.rules.match
+
+    def counted(pattern, subject):
+        calls[0] += 1
+        return real(pattern, subject)
+
+    monkeypatch.setattr(termstrat.rules, "match", counted)
+    return calls
+
+
+TOWER = load_theory("sig a/0 f/1\nrule u : f(x) => x\n")
+CYCLE = load_theory("sig a/0 b/0 plus/2\nrule comm : plus(x,y) => plus(y,x)\nrule ab : a => b\n")
+
+
+def run_length(zeta, term, cap):
+    """Steps of a deterministic strategy from `term` until it stops or
+    repeats a term, counting the step that repeats it; at most `cap`."""
+    seen = {term}
+    for n in range(cap):
+        choice = zeta.sorted_choice(traced(term))
+        if not choice:
+            return n
+        term = apply_step(term, choice[0], zeta.rules).target
+        if term in seen:
+            return n + 1
+        seen.add(term)
+    return cap
+
+
+def nf_outcome(zeta, term, fuel):
+    """The normal forms, or the message of the FuelExhausted raised instead."""
+    try:
+        return normal_forms_under(zeta, term, fuel)
+    except FuelExhausted as e:
+        return str(e)

@@ -222,6 +222,33 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "s(" * 260 + "0" + ")" * 260 + "\n"
 
+    @pytest.mark.parametrize(
+        "fuel, code, out",
+        [(None, 2, ""), ("20000", 0, "s(" * DEEP + "0" + ")" * DEEP + "\n")],
+        ids=["default-fuel", "enough-fuel"],
+    )
+    def test_normalize_rightmost_innermost_long_run(self, fuel, code, out):
+        # 10^4 `ps` steps and one `p0`: one more than the default fuel.
+        term = "plus(" + "s(" * DEEP + "0" + ")" * DEEP + ",0)"
+        args = ["normalize", "--file", "docs/peano.trs", "--term", term,
+                "--intensional", "rightmost-innermost"]
+        proc = run_cli(args + (["--fuel", fuel] if fuel else []))
+        assert (proc.returncode, proc.stdout) == (code, out)
+        if code == 2:
+            assert proc.stderr == f"error: normal-form search from {term} ran out of fuel\n"
+
+    @pytest.mark.parametrize("fuel, code", [("2", 0), ("1", 2)])
+    def test_normalize_rightmost_innermost_cycle(self, tmp_path, fuel, code):
+        # plus(a,b) -> plus(b,b) -> plus(b,b): the second step closes a cycle.
+        comm = tmp_path / "comm.trs"
+        comm.write_text("sig a/0 b/0 plus/2\nrule comm : plus(x,y) => plus(y,x)\nrule ab : a => b\n")
+        proc = run_cli(
+            ["normalize", "--file", str(comm), "--term", "plus(a,b)",
+             "--intensional", "rightmost-innermost", "--fuel", fuel]
+        )
+        assert (proc.returncode, proc.stdout) == (code, "")
+        assert "Traceback" not in proc.stderr
+
     def test_normalize_pure_cycle_closes_empty(self, tmp_path):
         # A self-loop dedups away under a memoryless strategy: the reachable
         # set is finite and contains no normal form, so output is empty.

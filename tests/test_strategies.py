@@ -487,6 +487,29 @@ class TestReference:
         assert outcome(rex, s, term, 400) == (STK if want is None else Value(want))
         assert cost(rex, s, term, 400) == spent
 
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            # The inner X shadows the outer one, and `mu X . X` diverges.
+            ("mu X . first(seq(r1, mu X . X), id)", REF_EXHAUSTED),
+            # X is unfolded under the inner Y, but its own Y is the outer one,
+            # which returns b; the inner Y would unfold X forever.
+            ("mu Y . first(not(r1), mu X . first(seq(r1, mu Y . X), Y))", "b"),
+        ],
+        ids=["shadowed", "lexical"],
+    )
+    def test_scoping(self, rex, text, want):
+        s = parse_strategy(text, rex.rules, rex.signature)
+        term = parse_term("a", rex.signature)
+        got, spent = reference_eval(s, term, rex.rules, 400)
+        if want == REF_EXHAUSTED:
+            assert got == REF_EXHAUSTED
+            assert outcome(rex, s, term, 400) == EXHAUSTED
+            return
+        assert got == parse_term(want, rex.signature)
+        assert outcome(rex, s, term, 400) == Value(got)
+        assert cost(rex, s, term, 400) == spent
+
     @pytest.mark.parametrize("text", ["mu X . first(seq(u,X),id)", "repeat(u)"])
     @pytest.mark.parametrize("n", [0, 1, 7, 200])
     def test_unwrap_cost(self, text, n):
