@@ -150,7 +150,8 @@ def traced(t: Term) -> TracedObject:
 
 
 def _label_key(label: StepLabel):
-    return (label.position.path, label.rule_label, label.subst.pairs)
+    # Bindings are compared, and printed, only on a tie no valid label makes.
+    return (label.position.path, label.rule_label, label.subst)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,23 +315,26 @@ def normal_forms_under(zeta: IntensionalStrategy, a: Term, fuel: int) -> set:
     with no normal form.  Each step re-walks the current term for the
     strategy's choices and rebuilds the path to the rewritten position.
 
-    A strategy made by `rightmost_innermost` first runs one bottom-up pass
-    that visits each node of `a` once and then only the nodes its rewrites
-    create, so its cost is their sum, not the term size times the steps.
-    Only when that pass finds a cycle or needs more than twice `fuel` steps
-    does the breadth-first search run: a cycle gives no normal form if the
-    fuel lasts until the term first repeats, and only the search sees that
-    step.  Results and errors are the same either way.
+    A strategy made by `rightmost_innermost` runs one bottom-up pass instead,
+    which visits each node of `a` once and then only the nodes its rewrites
+    create, so its cost is their sum, not the term size times the steps.  A
+    cycle gives no normal form if the fuel lasts until step `j`, where the
+    term first repeats; the pass finds `first <= j <= now - 1`, and only for
+    fuel in that window does the search still run.  Results and errors are
+    the same either way.
     """
     message = f"normal-form search from {print_term(a)} ran out of fuel"
     if isinstance(zeta, _RightmostInnermost):
-        done = _normalize_rightmost_innermost(a, zeta.rules, 2 * max(fuel, 0))
-        if done is not None:
-            # A run that ends never revisits a term, so the search would
-            # reach this normal form alone after the same number of steps.
-            nf, steps = done
-            if steps == 0 or steps <= fuel:
-                return {nf}
+        # A cycle with j <= fuel is seen by step 2j, inside the budget.
+        run = _normalize_rightmost_innermost(a, zeta.rules, 2 * max(fuel, 0))
+        if run is None:
+            raise FuelExhausted(message)
+        # A run that ends never revisits a term, so the search would reach
+        # its normal form alone after the same number of steps.
+        nf, first, last = run
+        if last <= fuel or last == 0:
+            return set() if nf is None else {nf}
+        if fuel < first:
             raise FuelExhausted(message)
     spend = Fuel(fuel, message).spend
     normals: set[Term] = set()

@@ -75,7 +75,7 @@ class FuelExhausted(TermstratError):
 
 
 class Fuel:
-    """A run's budget: each `spend` takes units, raising FuelExhausted when short."""
+    """A run's budget: `spend` takes one unit, or raises FuelExhausted when none is left."""
 
     __slots__ = ("left", "message")
 
@@ -83,7 +83,7 @@ class Fuel:
         self.left = amount
         self.message = message
 
-    def spend(self, units: int = 1) -> None:
-        if self.left < units:
+    def spend(self) -> None:
+        if self.left < 1:
             raise FuelExhausted(self.message)
-        self.left -= units
+        self.left -= 1

@@ -201,28 +201,29 @@ def _redexes(t: Term, rs: RuleSet, innermost: bool = False, backward: bool = Fal
 def _normalize_rightmost_innermost(t: Term, rs: RuleSet, budget: int):
     """Rewrite `t` rightmost-innermost to its normal form in one post-order pass.
 
-    Returns `(normal form, steps)`, or None when more than `budget` steps
-    would be needed or the run is found to cycle.  A node's children are
-    normalized right to left, then the rules indexed under its head are
-    tried in declaration order; a rewrite puts the instantiated right-hand
-    side back on the stack to be normalized in its place.  This fires
-    exactly the steps that repeating `_redexes(innermost=True,
-    backward=True)` from the root would fire.  Nodes known to be normal are
-    remembered by identity, so the bound subterms a right-hand side copies
-    are never walked again; a node is rebuilt only when one of its children
-    changed.
+    Returns `(normal form, steps, steps)` when the run ends, `(None, first,
+    now - 1)` when it is found to cycle, or None when more than `budget`
+    steps would be needed.  A node's children are normalized right to left,
+    then the rules indexed under its head are tried in declaration order; a
+    rewrite puts the instantiated right-hand side back on the stack to be
+    normalized in its place.  This fires exactly the steps that repeating
+    `_redexes(innermost=True, backward=True)` from the root would fire.
+    Nodes known to be normal are remembered by identity, so the bound
+    subterms a right-hand side copies are never walked again; a node is
+    rebuilt only when one of its children changed.
 
     While a position is being normalized nothing outside it changes, so a
     redex that comes back at the same position means the whole term came
-    back: the run cycles.  Each position that has been rewritten keeps the
-    set of its redexes to see that.
+    back: the run cycles, and the term before step `now` is the one before
+    step `first`, the step at which the redex was first seen there.  Each
+    position that has been rewritten keeps its redexes and those steps.
     """
     by_head = rs._by_head
     normal: dict[int, Term] = {}  # id -> node; holding the node keeps its id unique
     done: list[Term] = []  # normal forms of finished subterms, right to left
     # Subterms to normalize: a bare term, or `[term, seen]` for a term that
-    # replaced a redex, with the redexes `seen` at that position so far;
-    # `(node, seen)` sits under the children of `node`.
+    # replaced a redex, `seen` mapping each redex at that position to the
+    # step it was first seen at; `(node, seen)` sits under `node`'s children.
     stack: list = [t]
     steps = 0
     while stack:
@@ -256,17 +257,16 @@ def _normalize_rightmost_innermost(t: Term, rs: RuleSet, budget: int):
                 steps += 1
                 if steps > budget:
                     return None
-                if seen is None:
-                    seen = set()
-                elif node in seen:
-                    return None
-                seen.add(node)
+                seen = seen or {}  # a position's dict is never empty
+                first = seen.setdefault(node, steps)
+                if first != steps:
+                    return None, first, steps - 1
                 stack.append([apply_subst(sigma, rule.rhs), seen])
                 break
         else:
             normal[id(node)] = node
             done.append(node)
-    return done[0], steps
+    return done[0], steps, steps
 
 
 def apply_step(t: Term, label: StepLabel, rs: RuleSet) -> RewriteStep:

@@ -6,11 +6,11 @@ A strategy applied to a term either produces a term (`Value`) or fails
 evaluation was cut off before reaching an answer, raises `FuelExhausted`,
 and is never converted into failure.
 
-Recursion is written with `mu`; `repeat(s)` means `mu X . try(seq(s, X))`
-and is charged exactly as that unfolding.  Every combinator evaluation
-consumes one unit of fuel, so any divergent strategy (say `repeat(id)`)
-exhausts any finite budget.  Evaluation is one loop over a stack of frames
-in which tail positions push nothing, so only fuel bounds its depth.
+Recursion is written with `mu`; `repeat(s)` costs one unit, then its
+unfolding `mu X . try(seq(s, X))`.  Evaluation is one loop over a stack of
+frames that spends one unit of fuel per turn, so any divergent strategy
+(say `repeat(id)`) exhausts any finite budget.  Tail positions push no
+frame and a `try` on a `try` replaces it, so only fuel bounds the depth.
 
 Concrete syntax:
 
@@ -151,7 +151,7 @@ EvalResult = Value | Stk
 
 
 # The combinators that wait on their first operand, and its field.
-_FIRST_OPERAND = {Seq: "s1", First: "s1", Try: "s", Not: "s", IfTE: "cond", Repeat: "s"}
+_FIRST_OPERAND = {Seq: "s1", First: "s1", Try: "s", Not: "s", IfTE: "cond"}
 
 
 def eval_strategy(
@@ -178,12 +178,14 @@ def eval_strategy(
             sigma = match(rule.lhs, t)
             r = STK if sigma is None else Value(apply_subst(sigma, rule.rhs))
         elif kind in _FIRST_OPERAND:
-            if kind is Repeat:
-                # Charged as the unfolding mu X . try(seq(s.s, X)): the mu, try
-                # and seq units now, then X, try and seq after each success.
-                spend(3)
+            if kind is Try and stack and type(stack[-1][0]) is Try:
+                stack.pop()  # the try below could only ever pass a value on
             stack.append((s, t, env))
             s = getattr(s, _FIRST_OPERAND[kind])
+            continue
+        elif kind is Repeat:
+            # No name the parser reads has a quote, so none captures X.
+            s = Mu("repeat'", Try(Seq(s.s, SVar("repeat'"))))
             continue
         elif kind is Mu:
             env = (s.var, s, env)
@@ -216,15 +218,6 @@ def eval_strategy(
             elif kind is First:
                 if r is STK:
                     s = node.s2
-                    break
-            elif kind is Repeat:
-                if r is STK:
-                    r = Value(t)
-                else:
-                    spend(3)
-                    t = r.term
-                    stack.append((node, t, env))
-                    s = node.s
                     break
             elif kind is Try:
                 if r is STK:

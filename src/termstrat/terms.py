@@ -234,6 +234,9 @@ class Substitution:
         inner = ",".join(f"{n}->{t}" for n, t in self.pairs)
         return "{" + inner + "}"
 
+    def __lt__(self, other: Substitution) -> bool:
+        return str(self) < str(other)
+
 
 def subterms(t: Term):
     """Yield (position, subterm) pairs in preorder (lexicographic positions)."""

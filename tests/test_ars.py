@@ -17,6 +17,7 @@ from termstrat import (
     Position,
     ROOT,
     StepLabel,
+    StepMismatch,
     Substitution,
     TracedObject,
     all_redexes,
@@ -314,6 +315,20 @@ class TestExtension:
             seq = infer(from_derivation(d, rex.rules), rex.rules)
             assert (seq.source, seq.target) == (d.source, d.target)
 
+    def test_labels_differing_only_in_bindings(self, rex):
+        # Ordered by their printed bindings, {x->a} before {x->b}; the
+        # second does not replay, which is a StepMismatch, not a TypeError.
+        def label(arg):
+            return StepLabel(Position((1,)), "r2", Substitution.of({"x": t(rex, arg)}))
+
+        zeta = memoryless(lambda _: frozenset({label("b"), label("a")}), rex.rules)
+        term = t(rex, "f(g(a))")
+        assert zeta.sorted_choice(traced(term)) == [label("a"), label("b")]
+        with pytest.raises(StepMismatch):
+            normal_forms_under(zeta, term, 10)
+        with pytest.raises(StepMismatch):
+            extension(zeta, term, 2)
+
 
 class TestAbstractApplication:
     def test_empty_set(self, rex):
@@ -403,19 +418,45 @@ class TestNormalForms:
 
     def test_rightmost_innermost_cycle_found_early(self, match_calls):
         # plus(a,b) -ab-> plus(b,b) -comm-> plus(b,b): the pass stops when the
-        # redex plus(b,b) comes back (3 matches), and the search then takes
-        # 2 steps at 2 matches each.  Running the pass out to twice the fuel
-        # would cost 2 * 10^4 matches.
+        # redex plus(b,b) comes back (3 matches).  Running the pass out to
+        # twice the fuel would cost 2 * 10^4 matches.
         term = parse_term("plus(a,b)", CYCLE.signature)
         assert normal_forms_under(rightmost_innermost(CYCLE.rules), term, 10**4) == set()
         assert match_calls[0] <= 7
+
+    def test_rightmost_innermost_cycle_decided_without_search(self, step_calls):
+        # 51 steps normalize the sum, and the 52nd, a -> a, repeats the term:
+        # the pass sees a come back at step 53, first seen at step 52.
+        num = "s(" * 50 + "0" + ")" * 50
+        term = parse_term(f"pair(a,plus({num},0))", LOOP.signature)
+        assert normal_forms_under(rightmost_innermost(LOOP.rules), term, 52) == set()
+        with pytest.raises(FuelExhausted):
+            normal_forms_under(rightmost_innermost(LOOP.rules), term, 51)
+        assert step_calls[0] == 0
+
+    @pytest.mark.parametrize(
+        "fuel, want, searched",
+        [(1, None, 0), (2, set(), 2), (3, set(), 0)],
+        ids=["exhausted", "searched", "decided"],
+    )
+    def test_rightmost_innermost_cycle_window(self, step_calls, fuel, want, searched):
+        # f(a) -ab-> f(b) -back-> f(a): the term first repeats at step 2.  The
+        # pass sees f(b) come back at the root at step 4, first seen at step 2,
+        # so only fuel 2 is left to the search.
+        zeta, term = rightmost_innermost(BACK.rules), parse_term("f(a)", BACK.signature)
+        if want is None:
+            with pytest.raises(FuelExhausted):
+                normal_forms_under(zeta, term, fuel)
+        else:
+            assert normal_forms_under(zeta, term, fuel) == want
+        assert step_calls[0] == searched
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_rightmost_innermost_agrees_with_search(self, rex, peano, data):
         # rightmost_innermost(rs) runs a bottom-up pass; a strategy built
         # from its chooser alone runs the breadth-first search, step by step.
-        th = data.draw(st.sampled_from([rex, peano, TOWER, CYCLE]))
+        th = data.draw(st.sampled_from([rex, peano, TOWER, CYCLE, LOOP, BACK]))
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         term = random_ground_term(rng, th.signature, data.draw(st.integers(1, 5)))
         fast = rightmost_innermost(th.rules)
@@ -439,8 +480,27 @@ def match_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def step_calls(monkeypatch):
+    """A one-item list counting the calls to `TracedObject.step`."""
+    calls = [0]
+    real = TracedObject.step
+
+    def counted(self, label, rs):
+        calls[0] += 1
+        return real(self, label, rs)
+
+    monkeypatch.setattr(TracedObject, "step", counted)
+    return calls
+
+
 TOWER = load_theory("sig a/0 f/1\nrule u : f(x) => x\n")
 CYCLE = load_theory("sig a/0 b/0 plus/2\nrule comm : plus(x,y) => plus(y,x)\nrule ab : a => b\n")
+BACK = load_theory("sig a/0 b/0 f/1\nrule ab : a => b\nrule back : f(b) => f(a)\n")
+LOOP = load_theory(
+    "sig 0/0 s/1 plus/2 a/0 pair/2\n"
+    "rule p0 : plus(0,y) => y\nrule ps : plus(s(x),y) => s(plus(x,y))\nrule loop : a => a\n"
+)
 
 
 def run_length(zeta, term, cap):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -459,6 +460,10 @@ rule u : f(x) => x
 """
 
 
+# Tower loops, each with the constant c of its cost 4n+c on f^n(a).
+UNWRAP = {"mu X . first(seq(u,X),id)": 5, "repeat(u)": 5, "mu X . try(seq(u,X))": 4}
+
+
 def tower(th, n):
     """f^n(a), built without the parser."""
     term = App(th.signature.lookup("a"))
@@ -510,27 +515,45 @@ class TestReference:
         assert outcome(rex, s, term, 400) == Value(got)
         assert cost(rex, s, term, 400) == spent
 
-    @pytest.mark.parametrize("text", ["mu X . first(seq(u,X),id)", "repeat(u)"])
+    @pytest.mark.parametrize("text", list(UNWRAP))
     @pytest.mark.parametrize("n", [0, 1, 7, 200])
     def test_unwrap_cost(self, text, n):
-        # mu: per f, first, seq, u and X; at the end first, seq, the failing
-        # u, id and the mu.  repeat: per f, try, seq, u and X; at the end
-        # try, seq, the failing u, the mu and the repeat.
+        # mu first: per f, first, seq, u and X; at the end first, seq, the
+        # failing u, id and the mu.  mu try: per f, try, seq, u and X; at the
+        # end try, seq, the failing u and the mu.  repeat: one unit, then
+        # the mu try.
         th = load_theory(TOWER_TEXT)
         s = parse_strategy(text, th.rules, th.signature)
         term, a = tower(th, n), tower(th, 0)
-        assert reference_eval(s, term, th.rules, 4 * n + 5) == (a, 4 * n + 5)
-        assert eval_strategy(s, term, th.rules, 4 * n + 5) == Value(a)
+        spent = 4 * n + UNWRAP[text]
+        assert reference_eval(s, term, th.rules, spent) == (a, spent)
+        assert eval_strategy(s, term, th.rules, spent) == Value(a)
         with pytest.raises(FuelExhausted):
-            eval_strategy(s, term, th.rules, 4 * n + 4)
+            eval_strategy(s, term, th.rules, spent - 1)
 
-    @pytest.mark.parametrize("text", ["mu X . first(seq(u,X),id)", "repeat(u)"])
+    @pytest.mark.parametrize("text", list(UNWRAP))
     def test_depth_is_bounded_by_fuel_only(self, text):
-        # Both cost 4n+5 on f^n(a); 10^5 levels are far past the recursion limit.
+        # 10^5 levels are far past the recursion limit.
         n = 100_000
         th = load_theory(TOWER_TEXT)
         s = parse_strategy(text, th.rules, th.signature)
         term, a = tower(th, n), tower(th, 0)
-        assert eval_strategy(s, term, th.rules, 4 * n + 5) == Value(a)
+        spent = 4 * n + UNWRAP[text]
+        assert eval_strategy(s, term, th.rules, spent) == Value(a)
         with pytest.raises(FuelExhausted):
-            eval_strategy(s, term, th.rules, 4 * n + 4)
+            eval_strategy(s, term, th.rules, spent - 1)
+
+    @pytest.mark.parametrize("text", ["repeat(id)", "mu X . try(seq(id,X))"])
+    def test_loop_runs_in_constant_space(self, text):
+        # Each iteration pushes a try frame onto the previous one, which it
+        # replaces; keeping them all would take megabytes.
+        th = load_theory(TOWER_TEXT)
+        s = parse_strategy(text, th.rules, th.signature)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FuelExhausted):
+                eval_strategy(s, tower(th, 0), th.rules, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
