@@ -18,14 +18,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import itemgetter
 
 from .ars import (
+    _step_json,
+    _step_text,
     all_steps,
-    derivation_to_json,
     extension,
     innermost,
     normal_forms_under,
-    print_derivation,
     rightmost_innermost,
 )
 from .errors import (
@@ -151,13 +152,36 @@ def cmd_derive(ns) -> int:
         raise ParseError("--depth must be nonnegative")
     zeta = _strategy_for(ns.intensional, th.rules)
     ds = extension(zeta, term, ns.depth)
+    # Derivations share the step objects of their common prefixes, so each
+    # step is rendered once, however many derivations pass through it.  The
+    # output is `print_derivation` and `derivation_to_json`'s, byte for byte.
+    head = print_term(term)
+    text = _once(_step_text)
+    rows = sorted(((head + "".join(map(text, d.steps)), d) for d in ds), key=itemgetter(0))
     if ns.json:
-        ordered = sorted(ds, key=print_derivation)
-        print(json.dumps([derivation_to_json(d) for d in ordered], indent=2))
+        # json.dumps(..., indent=2) of a step's object, two levels down
+        obj = _once(lambda step: json.dumps(_step_json(step), indent=2).replace("\n", "\n    "))
+        items = [
+            "[\n    " + ",\n    ".join(map(obj, d.steps)) + "\n  ]" if d.steps else "[]"
+            for _, d in rows
+        ]
+        print("[\n  " + ",\n  ".join(items) + "\n]")
     else:
-        for line in sorted(map(print_derivation, ds)):
-            print(line)
+        print("\n".join(line for line, _ in rows))
     return 0
+
+
+def _once(render):
+    """`render`, computed once per object (kept alive by the caller)."""
+    memo: dict[int, str] = {}
+
+    def get(obj) -> str:
+        out = memo.get(id(obj))
+        if out is None:
+            out = memo[id(obj)] = render(obj)
+        return out
+
+    return get
 
 
 def cmd_check_proof(ns) -> int:

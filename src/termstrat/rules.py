@@ -121,6 +121,20 @@ class RewriteStep:
     label: StepLabel
     target: Term
 
+    def __hash__(self) -> int:
+        # Cached on first use, since a step is shared by every derivation
+        # through it; only the steps that get hashed pay for it.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.source, self.label, self.target))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # String hashes differ between processes: rebuild, never copy `_hash`.
+        return RewriteStep, (self.source, self.label, self.target)
+
     def __str__(self) -> str:
         return (
             f"{print_term(self.source)} -[{self.label.position},"

@@ -144,11 +144,56 @@ class App:
         return self._hash
 
     def __reduce__(self):
-        # String hashes differ between processes: rebuild, never copy `_hash`.
-        return App, (self.symbol, self.args)
+        # A flat post-order list of leaves and symbols, so that depth is not
+        # bounded by the recursion limit of pickle or deepcopy.  String
+        # hashes differ between processes: rebuild, never copy `_hash`.
+        flat = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if type(node) is App and node.args:
+                stack.append(node.symbol)
+                stack += reversed(node.args)
+            else:
+                flat.append(node.symbol if type(node) is App else node)
+        return _unflatten, (tuple(flat),)
+
+    def __repr__(self) -> str:
+        # The text the generated `__repr__` gives, from an explicit stack.
+        parts = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                parts.append(item)
+            elif type(item) is App:
+                parts.append(f"App(symbol={item.symbol!r}, args=(")
+                args = item.args
+                stack.append(",))" if len(args) == 1 else "))")
+                for k in range(len(args) - 1, 0, -1):
+                    stack.append(args[k])
+                    stack.append(", ")
+                if args:
+                    stack.append(args[0])
+            else:
+                parts.append(repr(item))
+        return "".join(parts)
 
     def __str__(self) -> str:
         return print_term(self)
+
+
+def _unflatten(flat: tuple) -> Term:
+    """The term `App.__reduce__` flattened: a symbol takes the last
+    `arity` finished terms as its arguments."""
+    done = []
+    for item in flat:
+        if type(item) is Symbol:
+            n = len(done) - item.arity
+            done[n:] = [App(item, tuple(done[n:]))]
+        else:
+            done.append(item)
+    return done[0]
 
 
 Term = Var | App

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import termstrat.ars
 import termstrat.rules
 from termstrat import (
+    App,
     ComposeError,
     Derivation,
     DerivationSet,
@@ -36,6 +39,7 @@ from termstrat import (
     normal_forms_under,
     parse_term,
     print_derivation,
+    print_term,
     rightmost_innermost,
     traced,
 )
@@ -92,6 +96,40 @@ class TestDerivation:
         s1 = deriv(rex, "a", ((), "r1")).steps[0]
         with pytest.raises(ComposeError):
             Derivation(t(rex, "b"), (s1,))
+
+    def test_extending_checks_only_the_seam(self, monkeypatch):
+        # A prefix is not validated again: `then` and `compose` compare one
+        # step source with one target each, and `prefix` compares none.
+        th = load_theory("sig a/0\nrule loop : a => a\n")
+        a = parse_term("a", th.signature)
+        step = apply_step(a, all_redexes(a, th.rules)[0], th.rules)
+        calls = [0]
+        real = App.__eq__
+
+        def counted(self, other):
+            calls[0] += 1
+            return real(self, other)
+
+        monkeypatch.setattr(App, "__eq__", counted)
+        d = Derivation(a)
+        for _ in range(10_000):
+            d = d.then(step)
+        assert len(d) == 10_000 and calls[0] == 10_000
+        calls[0] = 0
+        assert len(d.compose(d)) == 20_000 and calls[0] == 1
+        calls[0] = 0
+        assert len(d.prefix(5_000)) == 5_000 and calls[0] == 0
+
+    def test_pickle_round_trip_at_depth(self):
+        term = parse_term("f(" * 10_000 + "a" + ")" * 10_000, TOWER.signature)
+        d = Derivation(term)
+        for path in ((), (1,) * 5_000):
+            lab = next(l for l in all_redexes(d.target, TOWER.rules) if l.position.path == path)
+            d = d.then(apply_step(d.target, lab, TOWER.rules))
+        hash(d.steps[0])  # a cached step hash must not be pickled
+        back = pickle.loads(pickle.dumps(d))
+        assert back == d and hash(back) == hash(d)
+        assert print_term(back.target) == "f(" * 9_998 + "a" + ")" * 9_998
 
     def test_prefixes(self, rex):
         d = deriv(rex, "f(a)", ((), "r3"), ((), "r2"))
@@ -315,6 +353,38 @@ class TestExtension:
             seq = infer(from_derivation(d, rex.rules), rex.rules)
             assert (seq.source, seq.target) == (d.source, d.target)
 
+    def test_memoryless_fires_each_distinct_step_once(self, peano, monkeypatch):
+        calls = [0]
+        real = termstrat.ars.apply_step
+
+        def counted(term, label, rs):
+            calls[0] += 1
+            return real(term, label, rs)
+
+        monkeypatch.setattr(termstrat.ars, "apply_step", counted)
+        term = parse_term(
+            "plus(s(s(s(0))),plus(s(s(0)),plus(s(0),s(s(0)))))", peano.signature
+        )
+        ds = extension(all_steps(peano.rules), term, 10)
+        pairs = {(step.source, step.label) for d in ds for step in d.steps}
+        shared = {id(step) for d in ds for step in d.steps}
+        assert len(ds) == 4025
+        assert calls[0] == len(pairs) == len(shared) == 133
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_history_dependent_strategy_asked_at_every_prefix(self, rex, k):
+        # k(k(a,a),a) reaches k(a,a) after one step and after two, so a
+        # choice remembered per term would be wrong for `bounded`.
+        kfst = load_theory("sig a/0 b/0 k/2\nrule ab : a => b\nrule fst : k(x,y) => x\n")
+        zeta = bounded(k, all_steps(kfst.rules))
+        term = parse_term("k(k(a,a),a)", kfst.signature)
+        assert extension(zeta, term, 4) == naive_extension(zeta, term, 4)
+        zeta = bounded(k, all_steps(rex.rules))
+        rng = random.Random(59 + k)
+        for _ in range(10):
+            term = random_ground_term(rng, rex.signature, 3)
+            assert extension(zeta, term, 4) == naive_extension(zeta, term, 4)
+
     def test_labels_differing_only_in_bindings(self, rex):
         # Ordered by their printed bindings, {x->a} before {x->b}; the
         # second does not replay, which is a StepMismatch, not a TypeError.
@@ -361,6 +431,23 @@ class TestPrefixClosed:
         assert not is_prefix_closed({d})
         assert not is_prefix_closed({d, d.prefix(1)})
         assert is_prefix_closed({d, d.prefix(1), d.prefix(0)})
+
+    def test_one_prefix_per_member(self, monkeypatch):
+        th = load_theory("sig a/0\nrule loop : a => a\n")
+        a = parse_term("a", th.signature)
+        step = apply_step(a, all_redexes(a, th.rules)[0], th.rules)
+        d = Derivation(a, (step,) * 200)
+        members = [d.prefix(i) for i in range(201)]
+        calls = [0]
+        real = Derivation.prefix
+
+        def counted(self, n):
+            calls[0] += 1
+            return real(self, n)
+
+        monkeypatch.setattr(Derivation, "prefix", counted)
+        assert is_prefix_closed(members) and calls[0] == 200
+        assert not is_prefix_closed(members[:100] + members[101:])
 
     def test_empty_set_closed(self):
         assert is_prefix_closed(set())
@@ -501,6 +588,21 @@ LOOP = load_theory(
     "sig 0/0 s/1 plus/2 a/0 pair/2\n"
     "rule p0 : plus(0,y) => y\nrule ps : plus(s(x),y) => s(plus(x,y))\nrule loop : a => a\n"
 )
+
+
+def naive_extension(zeta, term, max_len):
+    """The derivations of length <= max_len whose every step the strategy
+    chooses at the traced prefix before it, built level by level."""
+    level = [Derivation(term)]
+    out = set(level)
+    for _ in range(max_len):
+        level = [
+            Derivation(d.source, d.steps + (apply_step(d.target, lab, zeta.rules),))
+            for d in level
+            for lab in zeta.choose(TracedObject.of_derivation(d))
+        ]
+        out.update(level)
+    return out
 
 
 def run_length(zeta, term, cap):

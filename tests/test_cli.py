@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import random
 import shlex
 import subprocess
 import sys
@@ -7,6 +9,18 @@ from pathlib import Path
 
 import pytest
 
+from gen import random_ground_term
+from termstrat import (
+    all_redexes,
+    all_steps,
+    derivation_to_json,
+    extension,
+    innermost,
+    load_theory,
+    print_derivation,
+    print_term,
+    rightmost_innermost,
+)
 from termstrat.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -258,6 +272,36 @@ class TestExitCodes:
             ["normalize", "--file", str(loop), "--term", "a", "--fuel", "5"]
         )
         assert proc.returncode == 0 and proc.stdout == ""
+
+
+class TestDeriveOutput:
+    """`derive` renders each shared step once; its output must equal the
+    per-derivation formulas applied to the same extension."""
+
+    @pytest.mark.parametrize("mode", ["innermost", "rightmost-innermost", "all"])
+    @pytest.mark.parametrize("theory", ["rex", "peano"])
+    def test_equals_per_derivation_printing(self, capsys, theory, mode):
+        path = REPO / "docs" / f"{theory}.trs"
+        th = load_theory(path.read_text(encoding="utf-8"))
+        zeta = {"innermost": innermost, "rightmost-innermost": rightmost_innermost}.get(
+            mode, all_steps
+        )(th.rules)
+        rng = random.Random(f"{theory}:{mode}")
+        for depth in range(5):
+            for _ in range(6):
+                term = random_ground_term(rng, th.signature, 5)
+                while not 2 <= len(all_redexes(term, th.rules)) <= 6:  # a tree, not too wide
+                    term = random_ground_term(rng, th.signature, 5)
+                ds = extension(zeta, term, depth)
+                text = "".join(line + "\n" for line in sorted(map(print_derivation, ds)))
+                ordered = sorted(ds, key=print_derivation)
+                doc = json.dumps([derivation_to_json(d) for d in ordered], indent=2) + "\n"
+                argv = ["derive", "--file", str(path), "--term", print_term(term)]
+                argv += ["--depth", str(depth), "--intensional", mode]
+                assert main(argv) == 0
+                assert capsys.readouterr().out == text
+                assert main([*argv, "--json"]) == 0
+                assert capsys.readouterr().out == doc
 
 
 class TestDirectEntry:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import pickle
 
@@ -111,6 +112,50 @@ class TestConstruction:
         assert b"_hash" not in data
         back = pickle.loads(data)
         assert back == term and hash(back) == hash(term)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_repr_is_the_generated_one(self, rex, data):
+        def generated(term):
+            # what a dataclass `__repr__` prints, recursively
+            if isinstance(term, Var):
+                return repr(term)
+            args = ", ".join(map(generated, term.args))
+            comma = "," if len(term.args) == 1 else ""
+            return f"App(symbol={term.symbol!r}, args=({args}{comma}))"
+
+        term = data.draw(term_exprs(rex.signature))
+        assert repr(term) == generated(term)
+        assert repr(t(rex, "h(f(a),x)")) == (
+            "App(symbol=Symbol(name='h', arity=2), args=("
+            "App(symbol=Symbol(name='f', arity=1), args=("
+            "App(symbol=Symbol(name='a', arity=0), args=()),)), Var(name='x')))"
+        )
+
+    def test_repr_at_any_depth(self, rex):
+        term = t(rex, "f(" * 10_000 + "a" + ")" * 10_000)
+        assert repr(term) == (
+            "App(symbol=Symbol(name='f', arity=1), args=(" * 10_000
+            + "App(symbol=Symbol(name='a', arity=0), args=())"
+            + ",))" * 10_000
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "s(" * 10_000 + "0" + ")" * 10_000,
+            "h(x," * 10_000 + "b" + ")" * 10_000,
+            "h(" * 10_000 + "a" + ",y)" * 10_000,
+        ],
+        ids=["unary", "right-nested", "left-nested"],
+    )
+    def test_pickle_and_deepcopy_at_any_depth(self, rex, text):
+        term = t(rex, text)
+        data = pickle.dumps(term)
+        assert b"_hash" not in data
+        for back in (pickle.loads(data), copy.deepcopy(term)):
+            assert back is not term and back == term and hash(back) == hash(term)
+            assert print_term(back) == text
 
     def test_signature_rejects_conflicting_redeclaration(self):
         sig = Signature([Symbol("f", 1)])
