@@ -290,9 +290,13 @@ def innermost(rs: RuleSet) -> IntensionalStrategy:
 
     Maximal means no other redex sits strictly below; several incomparable
     positions can qualify at once.  One postorder walk finds them: a node
-    is matched only when no redex turned up beneath it.
+    is matched only when no redex turned up beneath it.  While every choice
+    is a single redex, `normal_forms_under` runs it as rightmost-innermost
+    in one pass.
     """
-    return memoryless(lambda t: frozenset(_redexes(t, rs, innermost=True)), rs)
+    return _Innermost(
+        lambda tr: frozenset(_redexes(tr.current, rs, innermost=True)), True, rs, single=True
+    )
 
 
 def rightmost_innermost(rs: RuleSet) -> IntensionalStrategy:
@@ -309,12 +313,17 @@ def rightmost_innermost(rs: RuleSet) -> IntensionalStrategy:
         first = next(_redexes(t, rs, innermost=True, backward=True), None)
         return frozenset() if first is None else frozenset((first,))
 
-    return _RightmostInnermost(lambda tr: choose(tr.current), True, rs)
+    return _Innermost(lambda tr: choose(tr.current), True, rs)
 
 
-class _RightmostInnermost(IntensionalStrategy):
-    """The strategy `rightmost_innermost` returns, which `normal_forms_under`
-    may run in one bottom-up pass instead of step by step."""
+@dataclass(frozen=True, eq=False)
+class _Innermost(IntensionalStrategy):
+    """The strategies `innermost` and `rightmost_innermost` return, which
+    `normal_forms_under` may run in one bottom-up pass instead of step by
+    step.  `single` marks `innermost`, whose pass must also check that each
+    step it fires is the only one the strategy allows there."""
+
+    single: bool = False
 
 
 def bounded(k: int, base: IntensionalStrategy) -> IntensionalStrategy:
@@ -361,20 +370,28 @@ def normal_forms_under(zeta: IntensionalStrategy, a: Term, fuel: int) -> set:
     term first repeats; the pass finds `first <= j <= now - 1`, and only for
     fuel in that window does the search still run.  Results and errors are
     the same either way.
+
+    A strategy made by `innermost` runs the same pass, which also checks
+    that each step it fires is the only one `innermost` allows there: no
+    other innermost redex, and no second rule at the same one.  While that
+    holds the search would take the same single path.  At the first term
+    where `innermost` allows two or more steps the pass is dropped and the
+    search runs from the start.
     """
     message = f"normal-form search from {print_term(a)} ran out of fuel"
-    if isinstance(zeta, _RightmostInnermost):
+    if isinstance(zeta, _Innermost):
         # A cycle with j <= fuel is seen by step 2j, inside the budget.
-        run = _normalize_rightmost_innermost(a, zeta.rules, 2 * max(fuel, 0))
+        run = _normalize_rightmost_innermost(a, zeta.rules, 2 * max(fuel, 0), zeta.single)
         if run is None:
             raise FuelExhausted(message)
-        # A run that ends never revisits a term, so the search would reach
-        # its normal form alone after the same number of steps.
-        nf, first, last = run
-        if last <= fuel or last == 0:
-            return set() if nf is None else {nf}
-        if fuel < first:
-            raise FuelExhausted(message)
+        if run:  # () when `innermost` offered several steps somewhere
+            # A run that ends never revisits a term, so the search would
+            # reach its normal form alone after the same number of steps.
+            nf, first, last = run
+            if last <= fuel or last == 0:
+                return set() if nf is None else {nf}
+            if fuel < first:
+                raise FuelExhausted(message)
     spend = Fuel(fuel, message).spend
     normals: set[Term] = set()
     frontier = deque([traced(a)])

@@ -204,7 +204,7 @@ def _redexes(t: Term, rs: RuleSet, innermost: bool = False, backward: bool = Fal
                 sigma = match(rule.lhs, node)
                 if sigma is not None:
                     found = True
-                    yield StepLabel(Position(tuple(path)), rule.label, sigma)
+                    yield StepLabel(Position._unchecked(tuple(path)), rule.label, sigma)
         if leaving:
             if found:
                 below[-1] = True
@@ -212,7 +212,7 @@ def _redexes(t: Term, rs: RuleSet, innermost: bool = False, backward: bool = Fal
                 path.pop()
 
 
-def _normalize_rightmost_innermost(t: Term, rs: RuleSet, budget: int):
+def _normalize_rightmost_innermost(t: Term, rs: RuleSet, budget: int, single: bool = False):
     """Rewrite `t` rightmost-innermost to its normal form in one post-order pass.
 
     Returns `(normal form, steps, steps)` when the run ends, `(None, first,
@@ -231,6 +231,17 @@ def _normalize_rightmost_innermost(t: Term, rs: RuleSet, budget: int):
     back: the run cycles, and the term before step `now` is the one before
     step `first`, the step at which the redex was first seen there.  Each
     position that has been rewritten keeps its redexes and those steps.
+
+    With `single`, the pass returns () instead at the first step whose
+    redex is not the only innermost one of the whole term.  It is the only
+    one when no later rule matches at its node and every subterm still
+    waiting on the stack is normal: those are the unvisited left siblings
+    along the path, while the ancestors have a redex below them and the
+    finished subterms are normal.  The waiting subterms are walked with the
+    memo of normal nodes, so each node is still walked once.  Only the
+    stack above `checked`, its height at the last step, needs walking:
+    below it sit ancestors and subterms found normal then, and popping
+    those pushes nothing until the next step.
     """
     by_head = rs._by_head
     normal: dict[int, Term] = {}  # id -> node; holding the node keeps its id unique
@@ -240,6 +251,7 @@ def _normalize_rightmost_innermost(t: Term, rs: RuleSet, budget: int):
     # step it was first seen at; `(node, seen)` sits under `node`'s children.
     stack: list = [t]
     steps = 0
+    checked = 0  # with `single`: no redex waits in stack[:checked]
     while stack:
         item = stack.pop()
         kind = type(item)
@@ -265,9 +277,18 @@ def _normalize_rightmost_innermost(t: Term, rs: RuleSet, budget: int):
                 stack.append((node, seen))
                 stack += node.args
                 continue
-        for rule in by_head.get(node.symbol.name, ()):
+        rules = by_head.get(node.symbol.name, ())
+        for rule in rules:
             sigma = match(rule.lhs, node)
             if sigma is not None:
+                if single:
+                    later = rules[rules.index(rule) + 1 :]
+                    if any(match(r.lhs, node) is not None for r in later):
+                        return ()
+                    waiting = [w for w in stack[checked:] if type(w) is not tuple]
+                    if not _all_normal(waiting, by_head, normal):
+                        return ()
+                    checked = len(stack)
                 steps += 1
                 if steps > budget:
                     return None
@@ -281,6 +302,22 @@ def _normalize_rightmost_innermost(t: Term, rs: RuleSet, budget: int):
             normal[id(node)] = node
             done.append(node)
     return done[0], steps, steps
+
+
+def _all_normal(terms: list, by_head: dict, normal: dict) -> bool:
+    """Whether no rule matches anywhere in `terms`, recording their nodes in
+    the pass's memo `normal`.  Nodes are recorded before their subterms are
+    walked, so on False the memo is wrong, and the pass is abandoned."""
+    while terms:
+        node = terms.pop()
+        if type(node) is Var or id(node) in normal:
+            continue
+        for rule in by_head.get(node.symbol.name, ()):
+            if match(rule.lhs, node) is not None:
+                return False
+        normal[id(node)] = node
+        terms += node.args
+    return True
 
 
 def apply_step(t: Term, label: StepLabel, rs: RuleSet) -> RewriteStep:

@@ -215,13 +215,18 @@ class Position:
         if any(i < 1 for i in self.path):
             raise ValueError(f"position indices are 1-based: {self.path}")
 
+    @classmethod
+    def _unchecked(cls, path: tuple) -> Position:
+        """A position whose `path` is known to be a tuple of indices >= 1."""
+        pos = object.__new__(cls)
+        object.__setattr__(pos, "path", path)
+        return pos
+
     def child(self, i: int) -> Position:
         """The position one level down at index `i`; only `i` is checked."""
         if i < 1:
             raise ValueError(f"position indices are 1-based: {self.path + (i,)}")
-        pos = object.__new__(Position)
-        object.__setattr__(pos, "path", self.path + (i,))
-        return pos
+        return Position._unchecked(self.path + (i,))
 
     @property
     def is_root(self) -> bool:

@@ -552,6 +552,58 @@ class TestNormalForms:
         for fuel in range(-1, steps + 3):
             assert nf_outcome(fast, term, fuel) == nf_outcome(search, term, fuel)
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_innermost_agrees_with_search(self, rex, peano, data):
+        # innermost(rs) runs the bottom-up pass while each step is its only
+        # choice, and the search from the start once it is not; a strategy
+        # built from its chooser alone always runs the search.
+        th = data.draw(st.sampled_from([rex, peano, TOWER, CYCLE, LOOP, BACK, TWIN, PAR]))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        term = random_ground_term(rng, th.signature, data.draw(st.integers(1, 5)))
+        fast = innermost(th.rules)
+        search = IntensionalStrategy(fast.choose, True, th.rules)
+        steps = run_length(search, term, 60)
+        for fuel in range(-1, steps + 3):
+            assert nf_outcome(fast, term, fuel) == nf_outcome(search, term, fuel)
+
+    @pytest.mark.parametrize("n", [25, 50])
+    def test_innermost_single_path_runs_the_pass(self, peano, match_calls, step_calls, n):
+        # Each step is the only innermost redex, so the pass runs to the end:
+        # the 2n + 1 matches of rightmost-innermost, plus `ps` tried after
+        # `p0` matched at the last step.  The waiting left operand s^n(0)
+        # has no node any rule is indexed under.
+        num = "s(" * n + "0" + ")" * n
+        term = t(peano, f"plus({num},{num})")
+        got = normal_forms_under(innermost(peano.rules), term, 10 * n)
+        assert got == {t(peano, "s(" * 2 * n + "0" + ")" * 2 * n)}
+        assert step_calls[0] == 0
+        assert match_calls[0] <= 2 * n + 2
+
+    @pytest.mark.parametrize(
+        "theory, source, want",
+        [
+            ("peano", "plus(plus(N,N),plus(N,N))", {"s(s(s(s(s(s(s(s(s(s(s(s(0))))))))))))"}),
+            ("TWIN", "f(f(a))", {"a", "b"}),
+            ("PAR", "h(a,h(a,b))", {"h(b,h(b,b))"}),
+            ("PAR", "g(h(b,h(b,a)))", {"h(b,b)"}),
+        ],
+        ids=["parallel-sums", "two-rules", "parallel-constants", "late"],
+    )
+    def test_innermost_several_choices_fall_back(self, peano, step_calls, theory, source, want):
+        # Two innermost redexes (or two rules at one): the pass gives up
+        # there and the search runs from the start.  In the last case the
+        # pass first fires a -> b three levels down, then `split` at the
+        # root, and gives up at h(a,a), whose left a waits on the stack.
+        th = peano if theory == "peano" else globals()[theory]
+        term = t(th, source.replace("N", "s(s(s(0)))"))
+        fast = innermost(th.rules)
+        search = IntensionalStrategy(fast.choose, True, th.rules)
+        assert normal_forms_under(fast, term, 1000) == {t(th, w) for w in want}
+        assert step_calls[0] > 0
+        for fuel in range(-1, 12):
+            assert nf_outcome(fast, term, fuel) == nf_outcome(search, term, fuel)
+
 
 @pytest.fixture
 def match_calls(monkeypatch):
@@ -584,6 +636,8 @@ def step_calls(monkeypatch):
 TOWER = load_theory("sig a/0 f/1\nrule u : f(x) => x\n")
 CYCLE = load_theory("sig a/0 b/0 plus/2\nrule comm : plus(x,y) => plus(y,x)\nrule ab : a => b\n")
 BACK = load_theory("sig a/0 b/0 f/1\nrule ab : a => b\nrule back : f(b) => f(a)\n")
+TWIN = load_theory("sig a/0 b/0 f/1\nrule r1 : f(x) => a\nrule r2 : f(x) => b\n")
+PAR = load_theory("sig a/0 b/0 g/1 h/2\nrule ab : a => b\nrule split : g(x) => h(a,a)\n")
 LOOP = load_theory(
     "sig 0/0 s/1 plus/2 a/0 pair/2\n"
     "rule p0 : plus(0,y) => y\nrule ps : plus(s(x),y) => s(plus(x,y))\nrule loop : a => a\n"

@@ -251,6 +251,21 @@ class TestExitCodes:
         if code == 2:
             assert proc.stderr == f"error: normal-form search from {term} ran out of fuel\n"
 
+    @pytest.mark.parametrize(
+        "fuel, code, out",
+        [(None, 2, ""), ("20000", 0, "s(" * DEEP + "0" + ")" * DEEP + "\n")],
+        ids=["default-fuel", "enough-fuel"],
+    )
+    def test_normalize_innermost_long_run(self, fuel, code, out):
+        # Every step is the only innermost redex, so this is the same run.
+        term = "plus(" + "s(" * DEEP + "0" + ")" * DEEP + ",0)"
+        args = ["normalize", "--file", "docs/peano.trs", "--term", term,
+                "--intensional", "innermost"]
+        proc = run_cli(args + (["--fuel", fuel] if fuel else []))
+        assert (proc.returncode, proc.stdout) == (code, out)
+        if code == 2:
+            assert proc.stderr == f"error: normal-form search from {term} ran out of fuel\n"
+
     @pytest.mark.parametrize("fuel, code", [("2", 0), ("1", 2)])
     def test_normalize_rightmost_innermost_cycle(self, tmp_path, fuel, code):
         # plus(a,b) -> plus(b,b) -> plus(b,b): the second step closes a cycle.
@@ -354,3 +369,21 @@ class TestDirectEntry:
             captured.err
             == "error: cannot chain: left side ends at b but right side starts at a\n"
         )
+
+    def test_one_process_answers_like_fresh_ones(self, capsys):
+        # Calls in one process, a usage error among them, leave nothing behind.
+        rex = str(REPO / "docs" / "rex.trs")
+        runs = [
+            ["eval", "--file", rex, "--term", "a"],
+            ["eval", "--file", rex, "--strategy", "first(r1,id)", "--term", "a"],
+            ["normalize", "--file", rex, "--term", "f(a)", "--intensional", "innermost"],
+            ["frobnicate"],
+            ["check-proof", "--file", rex, "--proof", "r1"],
+        ]
+        for argv in runs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            fresh = run_cli(argv)
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            )
