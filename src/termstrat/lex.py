@@ -4,162 +4,189 @@ Tokens: identifiers ([A-Za-z][A-Za-z0-9_]*), numerals ([0-9]+), and the
 punctuation used by the concrete grammars.  `#` starts a comment running to
 end of line.  Whitespace separates tokens and is otherwise insignificant.
 
+A text is scanned once, by one `findall` that also skips whitespace and
+comments, into `Lexer.tokens`: each token's text, then "" for the end of
+input.  No positions are kept; a token's `line:col` is worked out from the
+text only when it is asked for, which in practice means an error.
+
 Every grammar is read by `parse_tree`, one loop over a stack of open frames,
-so nesting depth is bounded by memory, not by the recursion limit.
-`application` reads `head` or opens `head(arg, ...)`, and `check_arity`
-reports a wrong argument count at the head's line and column.
+so nesting depth is bounded by memory, not by the recursion limit.  The
+readers index `tokens` directly; the `Lexer` methods, which build `Token`s,
+serve the line-oriented theory reader and the error paths.  `application`
+reads `head` or opens `head(arg, ...)`, and `check_arity` reports a wrong
+argument count at the head's line and column.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import ParseArityError, ParseError
 
-# One alternative per token class; the first that matches at a position wins.
+# Skip whitespace and comments, then read one token.  A character no token
+# starts with takes the rest of the text with it, so a stray character is
+# the last token; at the end of the text the group is empty.
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-    | (?P<num>[0-9]+)
-    | (?P<punct>=>|[(),;.:=/])
-    | (?P<newline>\n)
-    | (?P<space>[^\S\n]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
+    r"\s*(?:\#[^\n]*\s*)*([A-Za-z][A-Za-z0-9_]*|[0-9]+|=>|[(),;.:=/]|.+)?", re.DOTALL
 )
+_STARTS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789(),;.:=/")
 
 
 class Token(NamedTuple):
+    """Token number `at` of `lexer`; its position is worked out when asked for."""
+
     kind: str  # "ident", "num", the punctuation text itself, or "end"
     text: str
-    line: int
-    col: int
+    at: int
+    lexer: Lexer
+
+    @property
+    def line(self) -> int:
+        return self.lexer.position(self.at)[0]
+
+    @property
+    def col(self) -> int:
+        return self.lexer.position(self.at)[1]
 
 
 class Lexer:
-    """Cursor over the token stream of a piece of source text."""
+    """The tokens of a piece of source text, and a cursor `index` over them.
+
+    `line` is the line number the text starts on.
+    """
 
     def __init__(self, text: str, line: int = 1):
-        self._tokens = _tokenize(text, line)
-        self._index = 0
+        self.text = text
+        self.line = line
+        self.tokens = _tokenize(text, line)
+        self.index = 0
+
+    def position(self, i: int) -> tuple[int, int]:
+        """The line and column of token `i`, from a second scan of the text."""
+        text = self.text
+        if i < len(self.tokens) - 1:
+            offset = next(islice(_TOKEN_RE.finditer(text), i, None)).start(1)
+        else:  # the end, or the comment that runs to it
+            offset = text.find("#", text.rfind("\n") + 1)
+            if offset < 0:
+                offset = len(text)
+        return _line_col(text, self.line, offset)
 
     def peek(self) -> Token:
-        return self._tokens[self._index]
+        text = self.tokens[self.index]
+        return Token(_kind(text), text, self.index, self)
 
     def next(self) -> Token:
-        tok = self._tokens[self._index]
-        if tok.kind != "end":
-            self._index += 1
+        tok = self.peek()
+        if tok.text:
+            self.index += 1
         return tok
 
-    def accept(self, kind: str) -> Token | None:
-        if self._tokens[self._index].kind == kind:  # not `peek`: a call per token costs
-            return self.next()
-        return None
-
     def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self._tokens[self._index]
-        if tok.kind != kind:
-            want = what or f"'{kind}'"
-            raise ParseError(f"expected {want}, found {_describe(tok)}", tok.line, tok.col)
+        if _kind(self.tokens[self.index]) != kind:
+            raise self.expected(self.index, what or f"'{kind}'")
         return self.next()
 
     def expect_end(self) -> None:
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input: {_describe(tok)}", tok.line, tok.col)
+        if self.tokens[self.index]:
+            raise self.error(f"unexpected trailing input: {_describe(self.tokens[self.index])}")
 
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def error(self, message: str, i: int | None = None, cls=ParseError) -> ParseError:
+        """A `cls` carrying `message` at token `i`, by default the cursor's."""
+        return cls(message, *self.position(self.index if i is None else i))
 
-    @staticmethod
-    def check_arity(head: Token, expected: int, args: list | None) -> None:
-        """Raise ParseArityError at `head` unless `args` has `expected` entries."""
+    def expected(self, i: int, what: str) -> ParseError:
+        return self.error(f"expected {what}, found {_describe(self.tokens[i])}", i)
+
+    def check_arity(self, head: int, expected: int, args: list | None) -> None:
+        """Raise ParseArityError at token `head` unless `args` has `expected` entries."""
         got = len(args) if args else 0
         if got != expected:
-            raise ParseArityError(
-                f"{head.text} expects {expected} argument(s), got {got}", head.line, head.col
-            )
+            message = f"{self.tokens[head]} expects {expected} argument(s), got {got}"
+            raise self.error(message, head, ParseArityError)
 
 
 def parse_tree(lexer: Lexer, operand):
-    """Read one tree by a loop over a stack of open frames.
+    """Read one tree from `lexer.index` by a loop over a stack of open frames.
 
-    A frame is a tuple `(read, build, head, sep, close, args)`: `read`
-    reads its operands, separated by `sep` tokens; after the last one the
-    `close` token, if any, is expected, and `build(head, args)` makes the
-    node.  `operand(lexer)`, like `read`, returns a node or the frame it
-    opened; a `read` of None is `operand`, so that no reader refers to
-    itself and a parse leaves no reference cycle behind.
+    A frame is a tuple `(read, build, head, sep, close, args)`: `read` reads
+    its operands, separated by `sep` tokens; after the last one the `close`
+    token, if any, is expected, and `build(head, args)` makes the node.
+    `operand(i)`, like `read`, reads from token `i` and returns a node or
+    the frame it opened, and the index after what it read; a `read` of None
+    is `operand`, so that no reader refers to itself and a parse leaves no
+    reference cycle behind.
     """
+    tokens = lexer.tokens
+    i = lexer.index
     frames: list[tuple] = []
     while True:
-        t = ((frames[-1][0] if frames else None) or operand)(lexer)
+        t, i = ((frames[-1][0] if frames else None) or operand)(i)
         if type(t) is tuple:
             frames.append(t)
             continue
         while frames:  # hand `t` to the open frames until one wants another operand
             _, build, head, sep, close, args = frames[-1]
             args.append(t)
-            if lexer.accept(sep):
+            if tokens[i] == sep:
+                i += 1
                 break
             if close is not None:
-                lexer.expect(close)
+                if tokens[i] != close:
+                    raise lexer.expected(i, f"'{close}'")
+                i += 1
             frames.pop()
             t = build(head, args)
         else:
+            lexer.index = i
             return t
 
 
-def application(lexer: Lexer, what: str, build, read, parens: bool = False):
-    """Read `head`, or `head(` and open the frame of its arguments.
+def application(lexer: Lexer, i: int, what: str, build, read, parens: bool = False):
+    """Read `head` at token `i`, or `head(` and open the frame of its arguments.
 
-    `build(head, None)` makes a head without parentheses, told apart from
-    `head()`; `parens` requires them.
+    `build(i, None)` makes a head without parentheses, told apart from
+    `head()`; `parens` requires them.  Returns the node or frame and the
+    index after it.
     """
-    head = lexer.next()
-    if head.kind != "ident" and head.kind != "num":
-        raise ParseError(f"expected {what}, found {_describe(head)}", head.line, head.col)
-    if parens:
-        lexer.expect("(")
-    elif not lexer.accept("("):
-        return build(head, None)
-    if lexer.accept(")"):
-        return build(head, [])
-    return read, build, head, ",", ")", []
+    tokens = lexer.tokens
+    if not tokens[i][:1].isalnum():
+        raise lexer.expected(i, what)
+    if tokens[i + 1] != "(":
+        if parens:
+            raise lexer.expected(i + 1, "'('")
+        return build(i, None), i + 1
+    if tokens[i + 2] == ")":
+        return build(i, []), i + 3
+    return (read, build, i, ",", ")", []), i + 2
 
 
-def _describe(tok: Token) -> str:
-    if tok.kind == "end":
-        return "end of input"
-    return f"'{tok.text}'"
+def _describe(text: str) -> str:
+    return f"'{text}'" if text else "end of input"
 
 
-def _tokenize(text: str, line: int) -> list[Token]:
-    tokens = []
-    line_start = 0  # offset of the current line's first character
-    end = len(text)  # the end token's offset: a trailing comment keeps it at '#'
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        start = m.start()
-        if kind == "ident" or kind == "num":
-            tokens.append(Token(kind, m.group(), line, start - line_start + 1))
-        elif kind == "punct":
-            punct = m.group()
-            tokens.append(Token(punct, punct, line, start - line_start + 1))
-        elif kind == "newline":
-            line += 1
-            line_start = start + 1
-        elif kind == "comment":
-            if m.end() == len(text):
-                end = start
-        elif kind == "bad":
-            raise ParseError(
-                f"unexpected character {m.group()!r}", line, start - line_start + 1
-            )
-    tokens.append(Token("end", "", line, end - line_start + 1))
+def _kind(text: str) -> str:
+    if not text:
+        return "end"
+    if text[0].isdigit():
+        return "num"
+    return "ident" if text[0].isalpha() else text
+
+
+def _line_col(text: str, line: int, offset: int) -> tuple[int, int]:
+    return line + text.count("\n", 0, offset), offset - text.rfind("\n", 0, offset)
+
+
+def _tokenize(text: str, line: int) -> list[str]:
+    tokens = _TOKEN_RE.findall(text)
+    # The end is matched once or twice: after trailing blanks, and empty.
+    if len(tokens) > 1 and not tokens[-2]:
+        tokens.pop()
+    if len(tokens) > 1 and tokens[-2][0] not in _STARTS:
+        stray = tokens[-2]
+        raise ParseError(
+            f"unexpected character {stray[0]!r}", *_line_col(text, line, len(text) - len(stray))
+        )
     return tokens

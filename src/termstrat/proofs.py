@@ -33,7 +33,7 @@ from .errors import (
     TermstratError,
     UnknownSymbol,
 )
-from .lex import Lexer, Token, application, parse_tree
+from .lex import Lexer, application, parse_tree
 from .rules import Rule, RuleSet, StepLabel, rewrite_at
 from .terms import (
     App,
@@ -42,24 +42,26 @@ from .terms import (
     Substitution,
     Symbol,
     Term,
+    TreeNode,
     Var,
     apply_subst,
     print_term,
     print_tree,
     subterm_at,
     subterms,
+    tree_node,
 )
 
 
-@dataclass(frozen=True)
-class Embed:
+@tree_node
+class Embed(TreeNode):
     """A term as its own (zero-step) proof: t : [t] -> [t]."""
 
     term: Term
 
 
-@dataclass(frozen=True)
-class Cong:
+@tree_node
+class Cong(TreeNode):
     """Rewrite inside the arguments of `symbol`, one proof per argument.
 
     At least one argument proof must be a non-Embed; use the `cong` factory
@@ -84,16 +86,16 @@ class Cong:
             )
 
 
-@dataclass(frozen=True)
-class Trans:
+@tree_node
+class Trans(TreeNode):
     """Chain two proofs; the first one's target must be the second's source."""
 
     first: ProofTerm
     second: ProofTerm
 
 
-@dataclass(frozen=True)
-class Repl:
+@tree_node
+class Repl(TreeNode):
     """Apply the rule named `rule_label`, one proof per rule parameter."""
 
     rule_label: str
@@ -280,35 +282,32 @@ def apply_proof_set(proofs, t: Term, rs: RuleSet) -> set:
 
 def parse_proof(text: str, rs: RuleSet, sig: Signature) -> ProofTerm:
     lexer = Lexer(text)
+    tokens = lexer.tokens
 
-    def build(head: Token, args: list | None) -> ProofTerm:
+    def build(head: int, args: list | None) -> ProofTerm:
         # None for `args` means no parentheses followed the head.
-        name = head.text
+        name = tokens[head]
         if name in rs:
-            Lexer.check_arity(head, len(rs.lookup(name).params), args)
+            lexer.check_arity(head, len(rs.lookup(name).params), args)
             return Repl(name, tuple(args or ()))
         sym = sig.lookup(name)
         if sym is not None:
-            Lexer.check_arity(head, sym.arity, args)
+            lexer.check_arity(head, sym.arity, args)
             return cong(sym, args or ())
-        if args or head.kind == "num":
-            raise UnknownSymbol(
-                f"{name!r} is neither a rule label nor a symbol", head.line, head.col
-            )
+        if args or name[0].isdigit():
+            raise lexer.error(f"{name!r} is neither a rule label nor a symbol", head, UnknownSymbol)
         return Embed(Var(name))
 
-    def chain(lexer: Lexer) -> tuple:  # each argument, and the whole text, is a `;` chain
-        return operand, _join, None, ";", None, []
+    def chain(i: int) -> tuple:  # each argument, and the whole text, is a `;` chain
+        return (operand, _join, None, ";", None, []), i
 
-    def operand(lexer: Lexer) -> ProofTerm | tuple:
-        if lexer.accept("("):
-            return None, _join, None, None, ")", []
-        tok = lexer.peek()
-        if tok.text in rs and sig.lookup(tok.text) is not None:
-            raise AmbiguousIdent(
-                f"{tok.text!r} is both a rule label and a symbol", tok.line, tok.col
-            )
-        return application(lexer, "a proof term", build, None)
+    def operand(i: int) -> tuple:
+        name = tokens[i]
+        if name == "(":
+            return (None, _join, None, None, ")", []), i + 1
+        if name in rs and sig.lookup(name) is not None:
+            raise lexer.error(f"{name!r} is both a rule label and a symbol", i, AmbiguousIdent)
+        return application(lexer, i, "a proof term", build, None)
 
     pi = parse_tree(lexer, chain)
     lexer.expect_end()

@@ -27,68 +27,70 @@ from collections import Counter
 from dataclasses import dataclass, fields
 
 from .errors import Fuel, UnboundSVar
-from .lex import Lexer, Token, application, parse_tree
+from .lex import Lexer, application, parse_tree
 from .rules import RuleSet
 from .terms import (
     Signature,
     Term,
+    TreeNode,
     apply_subst,
     match,
     parse_term_tokens,
     print_tree,
     subterms,
+    tree_node,
 )
 
 
-@dataclass(frozen=True)
-class Id:
+@tree_node
+class Id(TreeNode):
     """Always succeeds with the term unchanged."""
 
 
-@dataclass(frozen=True)
-class Fail:
+@tree_node
+class Fail(TreeNode):
     """Always fails."""
 
 
-@dataclass(frozen=True)
-class RuleRef:
+@tree_node
+class RuleRef(TreeNode):
     """Apply the named rule at the root; fails when the rule does not match."""
 
     label: str
 
 
-@dataclass(frozen=True)
-class Seq:
+@tree_node
+class Seq(TreeNode):
     """Apply s1, then s2 to its result; failure anywhere is the result."""
 
     s1: StrategyExpr
     s2: StrategyExpr
 
 
-@dataclass(frozen=True)
-class First:
+@tree_node
+class First(TreeNode):
     """Apply s1; on failure (and only then) apply s2 to the original term."""
 
     s1: StrategyExpr
     s2: StrategyExpr
 
 
-@dataclass(frozen=True)
-class Try:
+@tree_node
+class Try(TreeNode):
     """Apply s, or leave the term unchanged when s fails."""
 
     s: StrategyExpr
 
 
-@dataclass(frozen=True)
-class Not:
+@tree_node
+class Not(TreeNode):
     """Succeed (with the term unchanged) exactly when s fails."""
 
     s: StrategyExpr
 
 
-@dataclass(frozen=True)
-class IfTE:
+@tree_node
+class IfTE(TreeNode):
     """Run cond as a test; pick then_s or else_s, both on the original term."""
 
     cond: StrategyExpr
@@ -96,30 +98,30 @@ class IfTE:
     else_s: StrategyExpr
 
 
-@dataclass(frozen=True)
-class Repeat:
+@tree_node
+class Repeat(TreeNode):
     """Apply s until it fails; succeeds with the last good term."""
 
     s: StrategyExpr
 
 
-@dataclass(frozen=True)
-class Mu:
+@tree_node
+class Mu(TreeNode):
     """Bind `var` to this whole expression inside `body`."""
 
     var: str
     body: StrategyExpr
 
 
-@dataclass(frozen=True)
-class SVar:
+@tree_node
+class SVar(TreeNode):
     """A recursion variable bound by an enclosing mu."""
 
     var: str
 
 
-@dataclass(frozen=True)
-class Occurs:
+@tree_node
+class Occurs(TreeNode):
     """Succeed (term unchanged) when some subterm matches `pattern`."""
 
     pattern: Term
@@ -289,43 +291,47 @@ def parse_strategy_tokens(
     # The variables of the enclosing mus, counted: each mu frame adds its own
     # and removes it when its body is read, so a mu chain parses in linear time.
     bound: Counter = Counter()
+    tokens = lexer.tokens
 
-    def build(head: Token, args: list) -> StrategyExpr:
-        ctor, arity = _KEYWORDS[head.text]
-        Lexer.check_arity(head, arity, args)
+    def build(head: int, args: list) -> StrategyExpr:
+        ctor, arity = _KEYWORDS[tokens[head]]
+        lexer.check_arity(head, arity, args)
         return ctor(*args)
 
     def close_mu(var: str, args: list) -> Mu:
         bound[var] -= 1
         return Mu(var, args[0])
 
-    def operand(lexer: Lexer) -> StrategyExpr | tuple:
-        name = lexer.peek().text
+    def read_term(i: int) -> tuple:
+        lexer.index = i
+        return parse_term_tokens(lexer, sig), lexer.index
+
+    def operand(i: int) -> tuple:
+        name = tokens[i]
         ctor, arity = _KEYWORDS.get(name, (None, 0))
         if ctor is Mu:
-            lexer.next()
+            lexer.index = i + 1
             var = lexer.expect("ident", "recursion variable").text
             if var in _KEYWORDS:
                 raise lexer.error(f"{var!r} is reserved and cannot be bound by mu")
             lexer.expect(".")
             bound[var] += 1
-            return None, close_mu, var, None, None, []
+            return (None, close_mu, var, None, None, []), lexer.index
         if arity:
-            read = None if ctor is not Occurs else lambda lexer: parse_term_tokens(lexer, sig)
-            return application(lexer, "a strategy", build, read, parens=True)
-        tok = lexer.expect("ident", "a strategy")
+            read = None if ctor is not Occurs else read_term
+            return application(lexer, i, "a strategy", build, read, parens=True)
+        if not name[:1].isalpha():
+            raise lexer.expected(i, "a strategy")
         if ctor is not None:
-            return ctor()
+            return ctor(), i + 1
         if bound[name]:
-            return SVar(name)
+            return SVar(name), i + 1
         if name in rs:
-            return RuleRef(name)
+            return RuleRef(name), i + 1
         if name in named:
-            return named[name]
-        raise UnboundSVar(
-            f"{name!r} is not a bound variable, rule label, or named strategy",
-            tok.line,
-            tok.col,
+            return named[name], i + 1
+        raise lexer.error(
+            f"{name!r} is not a bound variable, rule label, or named strategy", i, UnboundSVar
         )
 
     return parse_tree(lexer, operand)

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ArityError, InvalidPosition, UnknownSymbol
-from .lex import Lexer, Token, application, parse_tree
+from .lex import Lexer, application, parse_tree
 
 NAME_RE = re.compile(r"(?:[A-Za-z][A-Za-z0-9_]*|[0-9]+)\Z")
 VAR_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -405,23 +405,24 @@ def parse_term_tokens(lexer: Lexer, sig: Signature) -> Term:
     interpreter's recursion limit.  Each application is checked against
     `sig` when its closing parenthesis has been read.
     """
+    tokens = lexer.tokens
+    symbols = sig._by_name
 
-    def build(head: Token, args: list | None) -> Term:
+    def build(head: int, args: list | None) -> Term:
         # None for `args` means no parentheses followed the head.
-        sym = sig.lookup(head.text)
+        name = tokens[head]
+        sym = symbols.get(name)
         if sym is None:
             if args is not None:
-                raise UnknownSymbol(f"undeclared symbol {head.text!r}", head.line, head.col)
-            if head.kind == "num":
-                raise UnknownSymbol(
-                    f"undeclared numeral constant {head.text!r}", head.line, head.col
-                )
-            return Var(head.text)
-        Lexer.check_arity(head, sym.arity, args)
+                raise lexer.error(f"undeclared symbol {name!r}", head, UnknownSymbol)
+            if name[0].isdigit():
+                raise lexer.error(f"undeclared numeral constant {name!r}", head, UnknownSymbol)
+            return Var(name)
+        lexer.check_arity(head, sym.arity, args)
         return App(sym, tuple(args or ()))
 
-    def operand(lexer: Lexer) -> Term | tuple:
-        return application(lexer, "a term", build, None)
+    def operand(i: int) -> tuple:
+        return application(lexer, i, "a term", build, None)
 
     return parse_tree(lexer, operand)
 
@@ -461,3 +462,106 @@ def print_tree(root, expand) -> str:
         else:
             stack.extend(reversed(expand(item)))
     return "".join(parts)
+
+
+class TreeNode:
+    """Base of the proof and strategy node classes, decorated `tree_node`.
+
+    A field, named in `__match_args__`, holds a node, a tuple of nodes, or a
+    value such as a term or a name.  Equality, hashing and pickling go
+    through `_flatten`, and `repr` through its own stack, so the depth of a
+    tree is not bounded by the recursion limit.  The hash is computed on
+    first use and kept in the instance: building a node costs what the
+    dataclass does.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return _flatten(self) == _flatten(other)
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(_flatten(self))
+        return h
+
+    def __repr__(self) -> str:
+        # The text the generated `__repr__` gives, from an explicit stack.
+        parts = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                parts.append(item)
+                continue
+            if type(item) is tuple:
+                items = ["("]
+                for k, v in enumerate(item):
+                    items += (", ", _shown(v)) if k else (_shown(v),)
+                items.append(",)" if len(item) == 1 else ")")
+            else:
+                items = [type(item).__qualname__ + "("]
+                for k, f in enumerate(type(item).__match_args__):
+                    items += (", " if k else "", f + "=", _shown(getattr(item, f)))
+                items.append(")")
+            stack += reversed(items)
+        return "".join(parts)
+
+    def __reduce__(self):
+        # String hashes differ between processes: rebuild, never copy `_hash`.
+        return _rebuild, (_flatten(self),)
+
+
+# The decorator of `TreeNode` subclasses: a frozen dataclass on its methods.
+tree_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+def _flatten(node: TreeNode) -> tuple:
+    """`node` as a post-order tuple of values and steps `(make, n)`.
+
+    A step applies `make` to the last `n` finished values.  Tuple fields
+    are spread out, so every tuple in the list is a step.  Two trees are
+    equal exactly when their lists are.
+    """
+    flat = []
+    stack: list = [node]
+    while stack:
+        item = stack.pop()
+        if not isinstance(item, TreeNode):
+            flat.append(item)
+            continue
+        kind = type(item)
+        todo = []
+        for f in kind.__match_args__:
+            v = getattr(item, f)
+            todo += (*v, (_tuple, len(v))) if type(v) is tuple else (v,)
+        todo.append((kind, len(kind.__match_args__)))
+        stack += reversed(todo)
+    return tuple(flat)
+
+
+def _rebuild(flat: tuple) -> TreeNode:
+    """The node `_flatten` gave `flat` for."""
+    done: list = []
+    for item in flat:
+        if type(item) is tuple:
+            make, n = item
+            n = len(done) - n
+            done[n:] = [make(*done[n:])]
+        else:
+            done.append(item)
+    return done[0]
+
+
+def _tuple(*values) -> tuple:
+    return values
+
+
+def _shown(value):
+    """`value` if `TreeNode.__repr__` expands it, else its text."""
+    return value if type(value) is tuple or isinstance(value, TreeNode) else repr(value)

@@ -7,6 +7,9 @@ checked against something that cannot share their bugs.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 
 from termstrat import (
@@ -308,3 +311,54 @@ def reference_eval(s: StrategyExpr, t: Term, rs: RuleSet, fuel: int):
     except Exhausted:
         return REF_EXHAUSTED, fuel
     return result, fuel - left
+
+
+def generated_repr(x) -> str:
+    """What the dataclass-generated `__repr__` prints, recursively."""
+    if type(x) is tuple:
+        items = [generated_repr(v) for v in x]
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+    if dataclasses.is_dataclass(x):
+        shown = (f for f in dataclasses.fields(x) if f.repr)
+        inner = ", ".join(f"{f.name}={generated_repr(getattr(x, f.name))}" for f in shown)
+        return f"{type(x).__qualname__}({inner})"
+    return repr(x)
+
+
+def node_key(x):
+    """A nested tuple equal for two trees exactly when the dataclass-generated
+    `__eq__`, applied recursively, calls them equal."""
+    if type(x) is tuple:
+        return tuple(node_key(v) for v in x)
+    if dataclasses.is_dataclass(x):
+        compared = (f for f in dataclasses.fields(x) if f.compare)
+        return (type(x).__name__, *(node_key(getattr(x, f.name)) for f in compared))
+    return x
+
+
+def check_node_methods(a, b, same) -> None:
+    """`==`, `hash`, `repr`, pickle and deepcopy of the proof or strategy
+    nodes `a` and `b`, against the generated methods; `same` equals `a`."""
+    assert same is not a and same == a and not same != a and hash(same) == hash(a)
+    assert (a == b) == (node_key(a) == node_key(b)) == (not a != b)
+    assert a != b or hash(a) == hash(b)
+    assert repr(a) == generated_repr(a)
+    for back in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert back is not a and back == a and node_key(back) == node_key(a)
+
+
+def check_deep_node(parse, printer, text: str, other: str, shown: str) -> None:
+    """`==`, `hash`, `repr`, pickle and deepcopy of the deep node that
+    `parse(text)` gives, at the default recursion limit.  `other` parses to
+    an unequal node of the same shape; `shown` is the expected `repr`."""
+    node, same, different = parse(text), parse(text), parse(other)
+    assert node is not same and node == same and not node != same
+    assert node != different and not node == different
+    assert "_hash" not in vars(node)  # hashed on first use, not when built
+    assert hash(node) == hash(same) and "_hash" in vars(node)
+    assert repr(node) == shown
+    data = pickle.dumps(node)
+    assert b"_hash" not in data
+    for back in (pickle.loads(data), copy.deepcopy(node)):
+        assert back is not node and back == node and hash(back) == hash(node)
+        assert printer(back) == text

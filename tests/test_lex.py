@@ -6,8 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from termstrat import ArityError, ParseError, parse_proof, parse_strategy, parse_term
+from termstrat import (
+    AmbiguousIdent,
+    ArityError,
+    ParseError,
+    UnboundSVar,
+    UnknownSymbol,
+    load_theory,
+    parse_proof,
+    parse_strategy,
+    parse_term,
+    print_term,
+)
+from termstrat.errors import ParseArityError
 from termstrat.lex import Lexer
+from termstrat.terms import parse_term_tokens
+from test_terms import term_exprs
 
 PUNCTUATION = ("=>", "(", ")", ",", ";", ".", ":", "=", "/")
 PIECES = (
@@ -17,17 +31,31 @@ PIECES = (
 )
 
 
-def tokens_of(text: str) -> list:
-    lexer = Lexer(text)
+# Runs of blanks between tokens; a comment runs to the end of its line.
+BLANKS = (" ", "\n", "\t", "  ", "# c\n", "#\n", "\r\n")
+blanks = st.lists(st.sampled_from(BLANKS), max_size=3).map("".join)
+some_blanks = st.lists(st.sampled_from(BLANKS), min_size=1, max_size=3).map("".join)
+
+
+def tokens_of(text: str, line: int = 1) -> list:
+    lexer = Lexer(text, line)
     out = []
     while lexer.peek().kind != "end":
         out.append(lexer.next())
     return out
 
 
-def first_stray(text: str):
+def position_of(text: str, offset: int, line: int = 1) -> tuple[int, int]:
+    """(line, col) of `text[offset]`, counted one character at a time."""
+    col = 1
+    for c in text[:offset]:
+        line, col = (line + 1, 1) if c == "\n" else (line, col + 1)
+    return line, col
+
+
+def first_stray(text: str, line: int = 1):
     """(line, col, char) of the first character outside every token class."""
-    line, col, in_comment, in_ident, prev = 1, 1, False, False, ""
+    col, in_comment, in_ident, prev = 1, False, False, ""
     for c in text:
         if c == "\n":
             line, col, in_comment, in_ident, prev = line + 1, 1, False, False, c
@@ -52,21 +80,23 @@ def first_stray(text: str):
 
 
 class TestTokenizer:
-    @given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join))
+    @given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join), st.integers(1, 50))
     @settings(max_examples=300, deadline=None)
-    def test_tokens_sit_where_reported(self, text):
-        stray = first_stray(text)
+    def test_tokens_sit_where_reported(self, text, k):
+        # `Lexer(text, line=k)` reads `text` as starting on line k, as
+        # `load_theory` does for each line of a file.
+        stray = first_stray(text, k)
         if stray is not None:
             line, col, c = stray
             with pytest.raises(ParseError) as exc:
-                Lexer(text)
+                Lexer(text, k)
             assert (exc.value.line, exc.value.col) == (line, col)
             assert repr(c) in str(exc.value)
             return
         lines = text.split("\n")
-        toks = tokens_of(text)
+        toks = tokens_of(text, k)
         for tok in toks:
-            assert lines[tok.line - 1][tok.col - 1 :].startswith(tok.text)
+            assert lines[tok.line - k][tok.col - 1 :].startswith(tok.text)
             if tok.kind == "ident":
                 assert re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok.text)
             elif tok.kind == "num":
@@ -77,6 +107,40 @@ class TestTokenizer:
             c for c in re.sub(r"#[^\n]*", "", text) if not c.isspace()
         )
         assert "".join(tok.text for tok in toks) == kept
+
+    @given(data=st.data(), k=st.integers(1, 50))
+    @settings(max_examples=300, deadline=None)
+    def test_reader_errors_sit_where_reported(self, rex, data, k):
+        """Errors the readers raise, at a token placed at a known offset."""
+        term = lambda: print_term(data.draw(term_exprs(rex.signature)))
+        b = lambda: data.draw(blanks)
+        kind = data.draw(st.sampled_from(["close", "arity", "trailing", "end"]))
+        if kind == "close":
+            culprit = data.draw(st.sampled_from(["a", "=>", ".", ":"]))
+            head = b() + "h(" + b() + term() + b() + "," + b() + term() + data.draw(some_blanks)
+            text, message = head + culprit + b(), f"expected ')', found '{culprit}'"
+        elif kind == "arity":
+            head = b() + "h(" + b() + term() + "," + b()
+            text = head + "f(" + b() + term() + "," + term() + b() + "))" + b()
+            message = "f expects 1 argument(s), got 2"
+        elif kind == "trailing":
+            culprit = data.draw(st.sampled_from([")", ",", "a", "=>"]))
+            head = b() + term() + data.draw(some_blanks)
+            text, message = head + culprit + b(), f"unexpected trailing input: '{culprit}'"
+        else:  # the end of input sits at a trailing comment's '#'
+            head = b() + "g(" + b() + term() + b()
+            text = head + data.draw(st.sampled_from(["", "#", "# c"]))
+            message = "expected ')', found end of input"
+        lexer = Lexer(text, k)
+        with pytest.raises(ParseError) as exc:
+            parse_term_tokens(lexer, rex.signature)
+            lexer.expect_end()
+        assert exc.value.args[0] == message
+        assert (exc.value.line, exc.value.col) == position_of(text, len(head), k)
+        with pytest.raises(ParseError) as exc:  # the same text, read as a proof from line 1
+            parse_proof(text, rex.rules, rex.signature)
+        assert exc.value.args[0] == message
+        assert (exc.value.line, exc.value.col) == position_of(text, len(head))
 
     def test_non_ascii_letters_and_digits_rejected(self):
         for text, col in (("aé", 2), ("1٣", 2), ("x\n  é", 3)):
@@ -112,3 +176,78 @@ class TestArityAtHead:
             with pytest.raises(ParseError) as exc:
                 parse_strategy(text, rex.rules, rex.signature)
             assert exc.value.col == len(text.split("(")[0]) + 1
+
+
+# Malformed inputs to the four grammars; each row pins the exception class,
+# message and line:col of the reader before positions were computed lazily.
+AMBIGUOUS = "sig a/0 b/0 q/0\nrule q : a => b\n"
+ERROR_TABLE = [
+    ("term", "f(a", ParseError, "expected ')', found end of input", (1, 4)),
+    ("term", "f(a,b)", ParseArityError, "f expects 1 argument(s), got 2", (1, 1)),
+    ("term", "h(a b)", ParseError, "expected ')', found 'b'", (1, 5)),
+    ("term", "g(a) b", ParseError, "unexpected trailing input: 'b'", (1, 6)),
+    ("term", "k(a)", UnknownSymbol, "undeclared symbol 'k'", (1, 1)),
+    ("term", "plus(7,0)", UnknownSymbol, "undeclared numeral constant '7'", (1, 6)),
+    ("term", "f(\n  é)", ParseError, "unexpected character 'é'", (2, 3)),
+    ("term", "", ParseError, "expected a term, found end of input", (1, 1)),
+    ("term", "g(,)", ParseError, "expected a term, found ','", (1, 3)),
+    ("term", "f(a # c", ParseError, "expected ')', found end of input", (1, 5)),
+    ("proof", "r1 ; ", ParseError, "expected a proof term, found end of input", (1, 6)),
+    ("proof", "(r1 ; r2\n", ParseArityError, "r2 expects 1 argument(s), got 0", (1, 7)),
+    ("proof", "(r1 ; r1\n", ParseError, "expected ')', found end of input", (2, 1)),
+    ("proof", "a(r1)", ParseArityError, "a expects 0 argument(s), got 1", (1, 1)),
+    ("proof", "zz(r1)", UnknownSymbol, "'zz' is neither a rule label nor a symbol", (1, 1)),
+    ("proof", "r2(a) r1", ParseError, "unexpected trailing input: 'r1'", (1, 7)),
+    ("proof", "h(r1,\n  7)", UnknownSymbol, "'7' is neither a rule label nor a symbol", (2, 3)),
+    ("proof", "r1 ;\n\n  ; r1", ParseError, "expected a proof term, found ';'", (3, 3)),
+    ("ambiguous", "f(q)", AmbiguousIdent, "'q' is both a rule label and a symbol", (1, 3)),
+    ("strategy", "seq(id)", ParseArityError, "seq expects 2 argument(s), got 1", (1, 1)),
+    ("strategy", "mu id . id", ParseError, "'id' is reserved and cannot be bound by mu", (1, 7)),
+    ("strategy", "mu X X", ParseError, "expected '.', found 'X'", (1, 6)),
+    ("strategy", "try(zz)", UnboundSVar,
+     "'zz' is not a bound variable, rule label, or named strategy", (1, 5)),
+    ("strategy", "occurs(f(a,b))", ParseArityError, "f expects 1 argument(s), got 2", (1, 8)),
+    ("strategy", "first(id,\n id", ParseError, "expected ')', found end of input", (2, 4)),
+    ("strategy", "id id", ParseError, "unexpected trailing input: 'id'", (1, 4)),
+    ("strategy", "try", ParseError, "expected '(', found end of input", (1, 4)),
+    ("theory", "sig a/0\nsig b", ParseError, "expected '/', found end of input", (2, 6)),
+    ("theory", "sig a/0\nrule r : a =>   \n", ParseError,
+     "expected a term, found end of input", (2, 17)),
+    ("theory", "sig a/0\n\n# c\nfoo", ParseError,
+     "expected sig, rule, or strat, found 'foo'", (4, 1)),
+    ("theory", "sig a/0\nrule r : x => a", ParseError,
+     "rule r: left-hand side is a bare variable", (2, 16)),
+    ("theory", "sig a/0\nstrat s = id\nstrat s = fail", ParseError,
+     "name s already declared", (3, 7)),
+    ("theory", "sig a/0 a/1", ParseError, "symbol a already declared as a/0", (1, 9)),
+    ("theory", "sig a/0\n  sig # nothing", ParseError,
+     "expected at least one name/arity pair", (2, 7)),
+    ("theory", "sig a/0\nrule r : a => a\nrule r : a => a", ParseError,
+     "duplicate rule label r", (3, 1)),
+    ("theory", "sig a/0 f/1\nstrat s = occurs(f(a,a))", ParseArityError,
+     "f expects 1 argument(s), got 2", (2, 18)),
+]
+
+
+class TestErrorTable:
+    @pytest.mark.parametrize(
+        "grammar, text, cls, message, position",
+        ERROR_TABLE,
+        ids=[f"{row[0]}-{n}" for n, row in enumerate(ERROR_TABLE)],
+    )
+    def test_error(self, rex, grammar, text, cls, message, position):
+        with pytest.raises(ParseError) as exc:
+            if grammar == "term":
+                parse_term(text, rex.signature)
+            elif grammar == "proof":
+                parse_proof(text, rex.rules, rex.signature)
+            elif grammar == "ambiguous":
+                th = load_theory(AMBIGUOUS)
+                parse_proof(text, th.rules, th.signature)
+            elif grammar == "strategy":
+                parse_strategy(text, rex.rules, rex.signature)
+            else:
+                load_theory(text)
+        assert type(exc.value) is cls
+        assert exc.value.args[0] == message
+        assert (exc.value.line, exc.value.col) == position

@@ -39,7 +39,13 @@ from termstrat import (
     rewrite_at,
     to_derivation,
 )
-from gen import brute_derivations, random_ground_term, random_proof
+from gen import (
+    brute_derivations,
+    check_deep_node,
+    check_node_methods,
+    random_ground_term,
+    random_proof,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -48,6 +54,8 @@ DEEP = 10_000
 FLIP = load_theory("sig a/0 b/0 f/1\nrule p : a => b\nrule q : b => a\n")
 # p ; (q ; (p ; ... (p ; q))), DEEP operands: right-nested, printed as it reads.
 RIGHT_CHAIN = " ; (".join(["p", "q"] * (DEEP // 2 - 1) + ["p"]) + " ; q" + ")" * (DEEP - 2)
+# The operands of p ; q ; p ; ... ; q, which reads as a left-deep Trans.
+CHAIN = ["p", "q"] * (DEEP // 2)
 
 
 def t(rex, text):
@@ -56,6 +64,10 @@ def t(rex, text):
 
 def pp(rex, text):
     return parse_proof(text, rex.rules, rex.signature)
+
+
+def repl(label):
+    return f"Repl(rule_label='{label}', args=())"
 
 
 class TestConstruction:
@@ -370,3 +382,40 @@ class TestParsePrint:
         for _ in range(80):
             pi = random_proof(rng, rex.rules, rex.signature, 4)
             assert pp(rex, print_proof(pi)) == pi
+
+
+class TestNodeMethods:
+    """Equality, hashing, `repr` and pickling, written once for proof and
+    strategy nodes on explicit stacks."""
+
+    def test_agree_with_the_generated_ones(self, rex):
+        rng = random.Random(29)
+        proofs = [random_proof(rng, rex.rules, rex.signature, 2) for _ in range(200)]
+        for a, b in zip(proofs, proofs[1:]):
+            check_node_methods(a, b, pp(rex, print_proof(a)))
+        assert sum(a == b for a, b in zip(proofs, proofs[1:])) > 0
+        # A label the parser would reject with either argument count.
+        check_node_methods(Repl("r2", ()), Repl("r2", (Embed(t(rex, "a")),)), Repl("r2", ()))
+
+    @pytest.mark.parametrize(
+        "text, other, shown",
+        [
+            (
+                " ; ".join(CHAIN),
+                " ; ".join(CHAIN[:-1] + ["p"]),
+                "Trans(first=" * (DEEP - 1)
+                + repl("p")
+                + "".join(f", second={repl(x)})" for x in CHAIN[1:]),
+            ),
+            (
+                "f(" * DEEP + "p" + ")" * DEEP,
+                "f(" * DEEP + "q" + ")" * DEEP,
+                "Cong(symbol=Symbol(name='f', arity=1), args=(" * DEEP + repl("p") + ",))" * DEEP,
+            ),
+        ],
+        ids=["chain", "congruence"],
+    )
+    def test_at_depth(self, text, other, shown):
+        check_deep_node(
+            lambda s: parse_proof(s, FLIP.rules, FLIP.signature), print_proof, text, other, shown
+        )

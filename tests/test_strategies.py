@@ -36,7 +36,13 @@ from termstrat import (
     parse_term,
     print_strategy,
 )
-from gen import REF_EXHAUSTED, random_strategy, reference_eval
+from gen import (
+    REF_EXHAUSTED,
+    check_deep_node,
+    check_node_methods,
+    random_strategy,
+    reference_eval,
+)
 from test_terms import term_exprs
 
 
@@ -301,6 +307,40 @@ class TestParsePrint:
     )
     def test_roundtrip_at_depth(self, rex, text):
         assert print_strategy(parse_strategy(text, rex.rules, rex.signature)) == text
+
+
+class TestNodeMethods:
+    """Equality, hashing, `repr` and pickling of strategy nodes, which share
+    their methods with proof nodes."""
+
+    def test_agree_with_the_generated_ones(self, rex):
+        rng = random.Random(31)
+        labels = tuple(r.label for r in rex.rules)
+        exprs = [random_strategy(rng, labels, rex.signature, 2) for _ in range(200)]
+        for a, b in zip(exprs, exprs[1:]):
+            same = parse_strategy(print_strategy(a), rex.rules, rex.signature)
+            check_node_methods(a, b, same)
+        assert sum(a == b for a, b in zip(exprs, exprs[1:])) > 0
+
+    @pytest.mark.parametrize(
+        "text, other, shown",
+        [
+            (
+                "try(" * 10_000 + "r1" + ")" * 10_000,
+                "try(" * 10_000 + "r2" + ")" * 10_000,
+                "Try(s=" * 10_000 + "RuleRef(label='r1')" + ")" * 10_000,
+            ),
+            (
+                "seq(id," * 10_000 + "r1" + ")" * 10_000,
+                "seq(id," * 10_000 + "r2" + ")" * 10_000,
+                "Seq(s1=Id(), s2=" * 10_000 + "RuleRef(label='r1')" + ")" * 10_000,
+            ),
+        ],
+        ids=["try", "seq"],
+    )
+    def test_at_depth(self, rex, text, other, shown):
+        parse = lambda s: parse_strategy(s, rex.rules, rex.signature)
+        check_deep_node(parse, print_strategy, text, other, shown)
 
 
 EXHAUSTED = "fuel exhausted"
