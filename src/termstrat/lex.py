@@ -10,18 +10,18 @@ input.  No positions are kept; a token's `line:col` is worked out from the
 text only when it is asked for, which in practice means an error.
 
 Every grammar is read by `parse_tree`, one loop over a stack of open frames,
-so nesting depth is bounded by memory, not by the recursion limit.  The
-readers index `tokens` directly; the `Lexer` methods, which build `Token`s,
-serve the line-oriented theory reader and the error paths.  `application`
-reads `head` or opens `head(arg, ...)`, and `check_arity` reports a wrong
-argument count at the head's line and column.
+so nesting depth is bounded by memory, not by the recursion limit.  Every
+reader, the line-oriented theory reader included, indexes `tokens`: it takes
+the index of its first token and returns the index after what it read.
+`expect` and `name` check one token, and the error methods report at an
+index.  `application` reads `head` or opens `head(arg, ...)`, and
+`check_arity` reports a wrong argument count at the head's line and column.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import islice
-from typing import NamedTuple
 
 from .errors import ParseArityError, ParseError
 
@@ -34,26 +34,11 @@ _TOKEN_RE = re.compile(
 _STARTS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789(),;.:=/")
 
 
-class Token(NamedTuple):
-    """Token number `at` of `lexer`; its position is worked out when asked for."""
-
-    kind: str  # "ident", "num", the punctuation text itself, or "end"
-    text: str
-    at: int
-    lexer: Lexer
-
-    @property
-    def line(self) -> int:
-        return self.lexer.position(self.at)[0]
-
-    @property
-    def col(self) -> int:
-        return self.lexer.position(self.at)[1]
-
-
 class Lexer:
-    """The tokens of a piece of source text, and a cursor `index` over them.
+    """The tokens of a piece of source text, `tokens`, read by index.
 
+    A reader takes the index of its first token and returns the index after
+    what it read; the methods below check or report the token at an index.
     `line` is the line number the text starts on.
     """
 
@@ -61,7 +46,6 @@ class Lexer:
         self.text = text
         self.line = line
         self.tokens = _tokenize(text, line)
-        self.index = 0
 
     def position(self, i: int) -> tuple[int, int]:
         """The line and column of token `i`, from a second scan of the text."""
@@ -74,28 +58,26 @@ class Lexer:
                 offset = len(text)
         return _line_col(text, self.line, offset)
 
-    def peek(self) -> Token:
-        text = self.tokens[self.index]
-        return Token(_kind(text), text, self.index, self)
+    def expect(self, i: int, token: str) -> int:
+        """The index after token `i`, which must be `token`."""
+        if self.tokens[i] != token:
+            raise self.expected(i, f"'{token}'")
+        return i + 1
 
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok.text:
-            self.index += 1
-        return tok
+    def name(self, i: int, what: str) -> str:
+        """Token `i`, which must be an identifier, described as `what`."""
+        text = self.tokens[i]
+        if not text[:1].isalpha():
+            raise self.expected(i, what)
+        return text
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        if _kind(self.tokens[self.index]) != kind:
-            raise self.expected(self.index, what or f"'{kind}'")
-        return self.next()
+    def expect_end(self, i: int) -> None:
+        if self.tokens[i]:
+            raise self.error(f"unexpected trailing input: {_describe(self.tokens[i])}", i)
 
-    def expect_end(self) -> None:
-        if self.tokens[self.index]:
-            raise self.error(f"unexpected trailing input: {_describe(self.tokens[self.index])}")
-
-    def error(self, message: str, i: int | None = None, cls=ParseError) -> ParseError:
-        """A `cls` carrying `message` at token `i`, by default the cursor's."""
-        return cls(message, *self.position(self.index if i is None else i))
+    def error(self, message: str, i: int, cls=ParseError) -> ParseError:
+        """A `cls` carrying `message` at token `i`."""
+        return cls(message, *self.position(i))
 
     def expected(self, i: int, what: str) -> ParseError:
         return self.error(f"expected {what}, found {_describe(self.tokens[i])}", i)
@@ -108,8 +90,8 @@ class Lexer:
             raise self.error(message, head, ParseArityError)
 
 
-def parse_tree(lexer: Lexer, operand):
-    """Read one tree from `lexer.index` by a loop over a stack of open frames.
+def parse_tree(lexer: Lexer, operand, i: int) -> tuple:
+    """Read one tree from token `i` by a loop over a stack of open frames.
 
     A frame is a tuple `(read, build, head, sep, close, args)`: `read` reads
     its operands, separated by `sep` tokens; after the last one the `close`
@@ -117,10 +99,9 @@ def parse_tree(lexer: Lexer, operand):
     `operand(i)`, like `read`, reads from token `i` and returns a node or
     the frame it opened, and the index after what it read; a `read` of None
     is `operand`, so that no reader refers to itself and a parse leaves no
-    reference cycle behind.
+    reference cycle behind.  Returns the tree and the index after it.
     """
     tokens = lexer.tokens
-    i = lexer.index
     frames: list[tuple] = []
     while True:
         t, i = ((frames[-1][0] if frames else None) or operand)(i)
@@ -140,8 +121,7 @@ def parse_tree(lexer: Lexer, operand):
             frames.pop()
             t = build(head, args)
         else:
-            lexer.index = i
-            return t
+            return t, i
 
 
 def application(lexer: Lexer, i: int, what: str, build, read, parens: bool = False):
@@ -165,14 +145,6 @@ def application(lexer: Lexer, i: int, what: str, build, read, parens: bool = Fal
 
 def _describe(text: str) -> str:
     return f"'{text}'" if text else "end of input"
-
-
-def _kind(text: str) -> str:
-    if not text:
-        return "end"
-    if text[0].isdigit():
-        return "num"
-    return "ident" if text[0].isalpha() else text
 
 
 def _line_col(text: str, line: int, offset: int) -> tuple[int, int]:

@@ -283,14 +283,17 @@ def apply_proof_set(proofs, t: Term, rs: RuleSet) -> set:
 def parse_proof(text: str, rs: RuleSet, sig: Signature) -> ProofTerm:
     lexer = Lexer(text)
     tokens = lexer.tokens
+    rules = rs._by_label
+    symbols = sig._by_name
 
     def build(head: int, args: list | None) -> ProofTerm:
         # None for `args` means no parentheses followed the head.
         name = tokens[head]
-        if name in rs:
-            lexer.check_arity(head, len(rs.lookup(name).params), args)
+        rule = rules.get(name)
+        if rule is not None:
+            lexer.check_arity(head, len(rule.params), args)
             return Repl(name, tuple(args or ()))
-        sym = sig.lookup(name)
+        sym = symbols.get(name)
         if sym is not None:
             lexer.check_arity(head, sym.arity, args)
             return cong(sym, args or ())
@@ -305,12 +308,12 @@ def parse_proof(text: str, rs: RuleSet, sig: Signature) -> ProofTerm:
         name = tokens[i]
         if name == "(":
             return (None, _join, None, None, ")", []), i + 1
-        if name in rs and sig.lookup(name) is not None:
+        if name in rules and name in symbols:
             raise lexer.error(f"{name!r} is both a rule label and a symbol", i, AmbiguousIdent)
         return application(lexer, i, "a proof term", build, None)
 
-    pi = parse_tree(lexer, chain)
-    lexer.expect_end()
+    pi, i = parse_tree(lexer, chain, 0)
+    lexer.expect_end(i)
     return pi
 
 

@@ -342,14 +342,13 @@ def apply_step(t: Term, label: StepLabel, rs: RuleSet) -> RewriteStep:
     return RewriteStep(t, label, target)
 
 
-def parse_rule_line(lexer: Lexer, sig: Signature) -> Rule:
-    """Parse `<label> : <term> => <term>` from an open token stream."""
-    tok = lexer.expect("ident", "rule label")
-    lexer.expect(":")
-    lhs = parse_term_tokens(lexer, sig)
-    lexer.expect("=>")
-    rhs = parse_term_tokens(lexer, sig)
+def parse_rule_line(lexer: Lexer, sig: Signature, i: int) -> tuple[Rule, int]:
+    """Parse `<label> : <term> => <term>` from token `i`; returns the rule
+    and the index after it."""
+    label = lexer.name(i, "rule label")
+    lhs, i = parse_term_tokens(lexer, sig, lexer.expect(i + 1, ":"))
+    rhs, i = parse_term_tokens(lexer, sig, lexer.expect(i, "=>"))
     try:
-        return Rule.make(tok.text, lhs, rhs)
+        return Rule.make(label, lhs, rhs), i
     except ValueError as e:
-        raise lexer.error(str(e)) from e
+        raise lexer.error(str(e), i) from e

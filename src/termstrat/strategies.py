@@ -279,15 +279,15 @@ def parse_strategy(
     raises UnboundSVar.
     """
     lexer = Lexer(text)
-    s = parse_strategy_tokens(lexer, rs, sig, named or {})
-    lexer.expect_end()
+    s, i = parse_strategy_tokens(lexer, rs, sig, named or {}, 0)
+    lexer.expect_end(i)
     return s
 
 
 def parse_strategy_tokens(
-    lexer: Lexer, rs: RuleSet, sig: Signature, named: dict
-) -> StrategyExpr:
-    """Parse one strategy expression from an open token stream."""
+    lexer: Lexer, rs: RuleSet, sig: Signature, named: dict, i: int
+) -> tuple[StrategyExpr, int]:
+    """Parse one strategy expression from token `i`; returns it and the index after it."""
     # The variables of the enclosing mus, counted: each mu frame adds its own
     # and removes it when its body is read, so a mu chain parses in linear time.
     bound: Counter = Counter()
@@ -303,20 +303,18 @@ def parse_strategy_tokens(
         return Mu(var, args[0])
 
     def read_term(i: int) -> tuple:
-        lexer.index = i
-        return parse_term_tokens(lexer, sig), lexer.index
+        return parse_term_tokens(lexer, sig, i)
 
     def operand(i: int) -> tuple:
         name = tokens[i]
         ctor, arity = _KEYWORDS.get(name, (None, 0))
         if ctor is Mu:
-            lexer.index = i + 1
-            var = lexer.expect("ident", "recursion variable").text
+            var = lexer.name(i + 1, "recursion variable")
             if var in _KEYWORDS:
-                raise lexer.error(f"{var!r} is reserved and cannot be bound by mu")
-            lexer.expect(".")
+                raise lexer.error(f"{var!r} is reserved and cannot be bound by mu", i + 2)
+            i = lexer.expect(i + 2, ".")
             bound[var] += 1
-            return (None, close_mu, var, None, None, []), lexer.index
+            return (None, close_mu, var, None, None, []), i
         if arity:
             read = None if ctor is not Occurs else read_term
             return application(lexer, i, "a strategy", build, read, parens=True)
@@ -334,7 +332,7 @@ def parse_strategy_tokens(
             f"{name!r} is not a bound variable, rule label, or named strategy", i, UnboundSVar
         )
 
-    return parse_tree(lexer, operand)
+    return parse_tree(lexer, operand, i)
 
 
 def print_strategy(s: StrategyExpr) -> str:

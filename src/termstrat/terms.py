@@ -86,7 +86,7 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class App:
     """A symbol applied to exactly `symbol.arity` argument terms."""
 
@@ -157,27 +157,6 @@ class App:
             else:
                 flat.append(node.symbol if type(node) is App else node)
         return _unflatten, (tuple(flat),)
-
-    def __repr__(self) -> str:
-        # The text the generated `__repr__` gives, from an explicit stack.
-        parts = []
-        stack = [self]
-        while stack:
-            item = stack.pop()
-            if type(item) is str:
-                parts.append(item)
-            elif type(item) is App:
-                parts.append(f"App(symbol={item.symbol!r}, args=(")
-                args = item.args
-                stack.append(",))" if len(args) == 1 else "))")
-                for k in range(len(args) - 1, 0, -1):
-                    stack.append(args[k])
-                    stack.append(", ")
-                if args:
-                    stack.append(args[0])
-            else:
-                parts.append(repr(item))
-        return "".join(parts)
 
     def __str__(self) -> str:
         return print_term(self)
@@ -393,13 +372,13 @@ def apply_subst(subst: Substitution, t: Term) -> Term:
 
 def parse_term(text: str, sig: Signature) -> Term:
     lexer = Lexer(text)
-    t = parse_term_tokens(lexer, sig)
-    lexer.expect_end()
+    t, i = parse_term_tokens(lexer, sig, 0)
+    lexer.expect_end(i)
     return t
 
 
-def parse_term_tokens(lexer: Lexer, sig: Signature) -> Term:
-    """Parse one term from an open token stream (shared by the file formats).
+def parse_term_tokens(lexer: Lexer, sig: Signature, i: int) -> tuple[Term, int]:
+    """Parse one term from token `i`; returns it and the index after it.
 
     Read by `parse_tree`, so the depth of the term is not bounded by the
     interpreter's recursion limit.  Each application is checked against
@@ -424,7 +403,7 @@ def parse_term_tokens(lexer: Lexer, sig: Signature) -> Term:
     def operand(i: int) -> tuple:
         return application(lexer, i, "a term", build, None)
 
-    return parse_tree(lexer, operand)
+    return parse_tree(lexer, operand, i)
 
 
 def print_term(t: Term) -> str:
@@ -469,10 +448,10 @@ class TreeNode:
 
     A field, named in `__match_args__`, holds a node, a tuple of nodes, or a
     value such as a term or a name.  Equality, hashing and pickling go
-    through `_flatten`, and `repr` through its own stack, so the depth of a
-    tree is not bounded by the recursion limit.  The hash is computed on
-    first use and kept in the instance: building a node costs what the
-    dataclass does.
+    through `_flatten`, and `repr` through its own stack, which `App` shares,
+    so the depth of a tree or term is not bounded by the recursion limit.
+    The hash is computed on first use and kept in the instance: building a
+    node costs what the dataclass does.
     """
 
     __slots__ = ()
@@ -519,6 +498,7 @@ class TreeNode:
 
 # The decorator of `TreeNode` subclasses: a frozen dataclass on its methods.
 tree_node = dataclass(frozen=True, eq=False, repr=False)
+App.__repr__ = TreeNode.__repr__
 
 
 def _flatten(node: TreeNode) -> tuple:
@@ -564,4 +544,4 @@ def _tuple(*values) -> tuple:
 
 def _shown(value):
     """`value` if `TreeNode.__repr__` expands it, else its text."""
-    return value if type(value) is tuple or isinstance(value, TreeNode) else repr(value)
+    return value if type(value) in (tuple, App) or isinstance(value, TreeNode) else repr(value)

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ParseError
 from .lex import Lexer
 from .rules import RuleSet, parse_rule_line
-from .strategies import _KEYWORDS, StrategyExpr, parse_strategy_tokens
+from .strategies import _KEYWORDS, parse_strategy_tokens
 from .terms import Signature, Symbol
 
 
@@ -35,55 +34,50 @@ def load_theory(text: str) -> Theory:
     th = Theory()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         lexer = Lexer(raw, line=lineno)
-        if lexer.peek().kind == "end":
+        if not lexer.tokens[0]:
             continue
-        head = lexer.expect("ident", "declaration keyword")
-        if head.text == "sig":
-            _sig_line(lexer, th)
-        elif head.text == "rule":
-            rule = parse_rule_line(lexer, th.signature)
+        head = lexer.name(0, "declaration keyword")
+        if head == "sig":
+            i = _sig_line(lexer, th, 1)
+        elif head == "rule":
+            rule, i = parse_rule_line(lexer, th.signature, 1)
             try:
                 th.rules.add(rule)
             except ValueError as e:
-                raise ParseError(str(e), head.line, head.col) from e
-        elif head.text == "strat":
-            _strat_line(lexer, th)
+                raise lexer.error(str(e), 0) from e
+        elif head == "strat":
+            i = _strat_line(lexer, th, 1)
         else:
-            raise ParseError(
-                f"expected sig, rule, or strat, found '{head.text}'",
-                head.line,
-                head.col,
-            )
-        lexer.expect_end()
+            raise lexer.error(f"expected sig, rule, or strat, found '{head}'", 0)
+        lexer.expect_end(i)
     return th
 
 
-def _sig_line(lexer: Lexer, th: Theory) -> None:
-    saw_any = False
-    while lexer.peek().kind in ("ident", "num"):
-        tok = lexer.next()
-        lexer.expect("/")
-        arity_tok = lexer.expect("num", "arity")
+def _sig_line(lexer: Lexer, th: Theory, i: int) -> int:
+    tokens = lexer.tokens
+    if not tokens[i][:1].isalnum():
+        raise lexer.error("expected at least one name/arity pair", i)
+    while tokens[i][:1].isalnum():
+        name = i
+        i = lexer.expect(i + 1, "/")
+        if not tokens[i].isdigit():
+            raise lexer.expected(i, "arity")
         try:
-            th.signature.add(Symbol(tok.text, int(arity_tok.text)))
+            th.signature.add(Symbol(tokens[name], int(tokens[i])))
         except ValueError as e:
-            raise ParseError(str(e), tok.line, tok.col) from e
-        saw_any = True
-    if not saw_any:
-        raise lexer.error("expected at least one name/arity pair")
+            raise lexer.error(str(e), name) from e
+        i += 1
+    return i
 
 
-def _strat_line(lexer: Lexer, th: Theory) -> None:
-    tok = lexer.expect("ident", "strategy name")
-    name = tok.text
+def _strat_line(lexer: Lexer, th: Theory, i: int) -> int:
+    name = lexer.name(i, "strategy name")
     if name in _KEYWORDS:
-        raise ParseError(f"{name!r} is reserved", tok.line, tok.col)
+        raise lexer.error(f"{name!r} is reserved", i)
     if name in th.strategies or name in th.rules:
-        raise ParseError(
-            f"name {name} already declared", tok.line, tok.col
-        )
-    lexer.expect("=")
-    expr: StrategyExpr = parse_strategy_tokens(
-        lexer, th.rules, th.signature, th.strategies
+        raise lexer.error(f"name {name} already declared", i)
+    expr, i = parse_strategy_tokens(
+        lexer, th.rules, th.signature, th.strategies, lexer.expect(i + 1, "=")
     )
     th.strategies[name] = expr
+    return i

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings
@@ -37,11 +38,17 @@ blanks = st.lists(st.sampled_from(BLANKS), max_size=3).map("".join)
 some_blanks = st.lists(st.sampled_from(BLANKS), min_size=1, max_size=3).map("".join)
 
 
+Tok = namedtuple("Tok", "kind text line col")
+
+
 def tokens_of(text: str, line: int = 1) -> list:
+    """Each token but the end: its kind ("ident", "num" or the punctuation
+    itself), its text, and where `Lexer.position` places it."""
     lexer = Lexer(text, line)
     out = []
-    while lexer.peek().kind != "end":
-        out.append(lexer.next())
+    for i, tok in enumerate(lexer.tokens[:-1]):
+        kind = "num" if tok[0].isdigit() else "ident" if tok[0].isalpha() else tok
+        out.append(Tok(kind, tok, *lexer.position(i)))
     return out
 
 
@@ -133,8 +140,8 @@ class TestTokenizer:
             message = "expected ')', found end of input"
         lexer = Lexer(text, k)
         with pytest.raises(ParseError) as exc:
-            parse_term_tokens(lexer, rex.signature)
-            lexer.expect_end()
+            _, i = parse_term_tokens(lexer, rex.signature, 0)
+            lexer.expect_end(i)
         assert exc.value.args[0] == message
         assert (exc.value.line, exc.value.col) == position_of(text, len(head), k)
         with pytest.raises(ParseError) as exc:  # the same text, read as a proof from line 1
@@ -226,6 +233,29 @@ ERROR_TABLE = [
      "duplicate rule label r", (3, 1)),
     ("theory", "sig a/0 f/1\nstrat s = occurs(f(a,a))", ParseArityError,
      "f expects 1 argument(s), got 2", (2, 18)),
+    # The line readers of `load_theory`, one row per check, pinned before they read by index.
+    ("theory", "sig f/x", ParseError, "expected arity, found 'x'", (1, 7)),
+    ("theory", "sig f 1", ParseError, "expected '/', found '1'", (1, 7)),
+    ("theory", "sig a/", ParseError, "expected arity, found end of input", (1, 7)),
+    ("theory", "sig a/0\nrule", ParseError, "expected rule label, found end of input", (2, 5)),
+    ("theory", "sig a/0\nrule 1 : a => a", ParseError, "expected rule label, found '1'", (2, 6)),
+    ("theory", "sig a/0\nrule r a => a", ParseError, "expected ':', found 'a'", (2, 8)),
+    ("theory", "sig a/0\nrule r : a a", ParseError, "expected '=>', found 'a'", (2, 12)),
+    ("theory", "sig a/0\nrule r : a => y", ParseError,
+     "rule r: right-hand side has unbound variable(s) y", (2, 16)),
+    ("theory", "sig a/0\nrule r : a => a a", ParseError,
+     "unexpected trailing input: 'a'", (2, 17)),
+    ("theory", "strat", ParseError, "expected strategy name, found end of input", (1, 6)),
+    ("theory", "strat id = fail", ParseError, "'id' is reserved", (1, 7)),
+    ("theory", "strat 1 = id", ParseError, "expected strategy name, found '1'", (1, 7)),
+    ("theory", "strat s id", ParseError, "expected '=', found 'id'", (1, 9)),
+    ("theory", "strat s =", ParseError, "expected a strategy, found end of input", (1, 10)),
+    ("theory", "sig a/0\nrule r : a => a\nstrat r = id", ParseError,
+     "name r already declared", (3, 7)),
+    ("theory", "strat s = mu 1 . id", ParseError,
+     "expected recursion variable, found '1'", (1, 14)),
+    ("theory", "(foo", ParseError, "expected declaration keyword, found '('", (1, 1)),
+    ("theory", "42 x", ParseError, "expected declaration keyword, found '42'", (1, 1)),
 ]
 
 
