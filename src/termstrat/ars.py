@@ -17,7 +17,7 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import ComposeError, Fuel, FuelExhausted
+from .errors import ComposeError, Fuel
 from .rules import (
     RewriteStep,
     RuleSet,
@@ -363,35 +363,26 @@ def normal_forms_under(zeta: IntensionalStrategy, a: Term, fuel: int) -> set:
     with no normal form.  Each step re-walks the current term for the
     strategy's choices and rebuilds the path to the rewritten position.
 
-    A strategy made by `rightmost_innermost` runs one bottom-up pass instead,
+    A strategy made by `rightmost_innermost` runs one bottom-up pass first,
     which visits each node of `a` once and then only the nodes its rewrites
-    create, so its cost is their sum, not the term size times the steps.  A
-    cycle gives no normal form if the fuel lasts until step `j`, where the
-    term first repeats; the pass finds `first <= j <= now - 1`, and only for
-    fuel in that window does the search still run.  Results and errors are
-    the same either way.
+    create, so its cost is their sum, not the term size times the steps.
+    The pass returns the normal forms or raises FuelExhausted itself, and
+    returns None only when the search must decide: for a fuel inside the
+    window where a cycle it found may or may not close.  Results and errors
+    are the same either way.
 
     A strategy made by `innermost` runs the same pass, which also checks
     that each step it fires is the only one `innermost` allows there: no
     other innermost redex, and no second rule at the same one.  While that
     holds the search would take the same single path.  At the first term
-    where `innermost` allows two or more steps the pass is dropped and the
-    search runs from the start.
+    where `innermost` allows two or more steps the pass returns None, and
+    the search runs from the start.
     """
     message = f"normal-form search from {print_term(a)} ran out of fuel"
     if isinstance(zeta, _Innermost):
-        # A cycle with j <= fuel is seen by step 2j, inside the budget.
-        run = _normalize_rightmost_innermost(a, zeta.rules, 2 * max(fuel, 0), zeta.single)
-        if run is None:
-            raise FuelExhausted(message)
-        if run:  # () when `innermost` offered several steps somewhere
-            # A run that ends never revisits a term, so the search would
-            # reach its normal form alone after the same number of steps.
-            nf, first, last = run
-            if last <= fuel or last == 0:
-                return set() if nf is None else {nf}
-            if fuel < first:
-                raise FuelExhausted(message)
+        forms = _normalize_rightmost_innermost(a, zeta.rules, fuel, message, zeta.single)
+        if forms is not None:
+            return forms
     spend = Fuel(fuel, message).spend
     normals: set[Term] = set()
     frontier = deque([traced(a)])

@@ -119,11 +119,7 @@ def cmd_eval(ns) -> int:
     th = _load(ns.file)
     term = parse_term(ns.term, th.signature)
     strat = parse_strategy(ns.strategy, th.rules, th.signature, th.strategies)
-    try:
-        result = eval_strategy(strat, term, th.rules, ns.fuel)
-    except FuelExhausted as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    result = eval_strategy(strat, term, th.rules, ns.fuel)
     if result == STK:
         print("stk")
         return 1
@@ -135,12 +131,7 @@ def cmd_normalize(ns) -> int:
     th = _load(ns.file)
     term = parse_term(ns.term, th.signature)
     zeta = _strategy_for(ns.intensional, th.rules)
-    try:
-        forms = normal_forms_under(zeta, term, ns.fuel)
-    except FuelExhausted as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    for line in sorted(print_term(t) for t in forms):
+    for line in sorted(print_term(t) for t in normal_forms_under(zeta, term, ns.fuel)):
         print(line)
     return 0
 
@@ -226,6 +217,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _COMMANDS[ns.command](ns)
+    except FuelExhausted as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except (ParseError, ArityError, UnknownLabel) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import is_not
 
-from .errors import StepMismatch, UnknownLabel
+from .errors import FuelExhausted, StepMismatch, UnknownLabel
 from .terms import (
     App,
     Position,
@@ -212,15 +212,15 @@ def _redexes(t: Term, rs: RuleSet, innermost: bool = False, backward: bool = Fal
                 path.pop()
 
 
-def _normalize_rightmost_innermost(t: Term, rs: RuleSet, budget: int, single: bool = False):
+def _normalize_rightmost_innermost(t: Term, rs: RuleSet, fuel: int, message: str, single=False):
     """Rewrite `t` rightmost-innermost to its normal form in one post-order pass.
 
-    Returns `(normal form, steps, steps)` when the run ends, `(None, first,
-    now - 1)` when it is found to cycle, or None when more than `budget`
-    steps would be needed.  A node's children are normalized right to left,
-    then the rules indexed under its head are tried in declaration order; a
-    rewrite puts the instantiated right-hand side back on the stack to be
-    normalized in its place.  This fires exactly the steps that repeating
+    Returns the set of normal forms `normal_forms_under` gives for `fuel`,
+    or raises FuelExhausted with `message`, or returns None when the search
+    must decide.  A node's children are normalized right to left, then the
+    rules indexed under its head are tried in declaration order; a rewrite
+    puts the instantiated right-hand side back on the stack to be normalized
+    in its place.  This fires exactly the steps that repeating
     `_redexes(innermost=True, backward=True)` from the root would fire.
     Nodes known to be normal are remembered by identity, so the bound
     subterms a right-hand side copies are never walked again; a node is
@@ -231,8 +231,13 @@ def _normalize_rightmost_innermost(t: Term, rs: RuleSet, budget: int, single: bo
     back: the run cycles, and the term before step `now` is the one before
     step `first`, the step at which the redex was first seen there.  Each
     position that has been rewritten keeps its redexes and those steps.
+    The search closes the cycle with no normal form after a step `j`,
+    `first <= j <= now - 1`, so the pass sees it by step `2 * fuel` when
+    `j <= fuel`; only for a fuel in that window does the search decide.  A
+    run that ends never revisits a term, so the search would reach its
+    normal form alone after the same number of steps.
 
-    With `single`, the pass returns () instead at the first step whose
+    With `single`, the pass returns None instead at the first step whose
     redex is not the only innermost one of the whole term.  It is the only
     one when no later rule matches at its node and every subterm still
     waiting on the stack is normal: those are the unvisited left siblings
@@ -244,6 +249,7 @@ def _normalize_rightmost_innermost(t: Term, rs: RuleSet, budget: int, single: bo
     those pushes nothing until the next step.
     """
     by_head = rs._by_head
+    budget = 2 * max(fuel, 0)
     normal: dict[int, Term] = {}  # id -> node; holding the node keeps its id unique
     done: list[Term] = []  # normal forms of finished subterms, right to left
     # Subterms to normalize: a bare term, or `[term, seen]` for a term that
@@ -284,24 +290,28 @@ def _normalize_rightmost_innermost(t: Term, rs: RuleSet, budget: int, single: bo
                 if single:
                     later = rules[rules.index(rule) + 1 :]
                     if any(match(r.lhs, node) is not None for r in later):
-                        return ()
+                        return None
                     waiting = [w for w in stack[checked:] if type(w) is not tuple]
                     if not _all_normal(waiting, by_head, normal):
-                        return ()
+                        return None
                     checked = len(stack)
                 steps += 1
                 if steps > budget:
-                    return None
+                    raise FuelExhausted(message)
                 seen = seen or {}  # a position's dict is never empty
                 first = seen.setdefault(node, steps)
                 if first != steps:
-                    return None, first, steps - 1
+                    if fuel < first:
+                        raise FuelExhausted(message)
+                    return set() if steps - 1 <= fuel else None
                 stack.append([apply_subst(sigma, rule.rhs), seen])
                 break
         else:
             normal[id(node)] = node
             done.append(node)
-    return done[0], steps, steps
+    if steps > max(fuel, 0):
+        raise FuelExhausted(message)
+    return {done[0]}
 
 
 def _all_normal(terms: list, by_head: dict, normal: dict) -> bool:

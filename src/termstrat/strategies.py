@@ -30,6 +30,7 @@ from .errors import Fuel, UnboundSVar
 from .lex import Lexer, application, parse_tree
 from .rules import RuleSet
 from .terms import (
+    App,
     Signature,
     Term,
     TreeNode,
@@ -37,7 +38,6 @@ from .terms import (
     match,
     parse_term_tokens,
     print_tree,
-    subterms,
     tree_node,
 )
 
@@ -234,8 +234,15 @@ def eval_strategy(
 
 
 def check_invariant(g: Term, t: Term) -> bool:
-    """True iff some subterm of `t` matches the pattern `g`."""
-    return any(match(g, sub) is not None for _, sub in subterms(t))
+    """True iff some subterm of `t`, tried in preorder, matches the pattern `g`."""
+    stack = [t]
+    while stack:
+        sub = stack.pop()
+        if match(g, sub) is not None:
+            return True
+        if type(sub) is App:
+            stack += reversed(sub.args)
+    return False
 
 
 def invariant_strategy(g: Term) -> StrategyExpr:

@@ -86,8 +86,111 @@ class Var:
         return self.name
 
 
+class TreeNode:
+    """Base of `App` and of the proof and strategy nodes, decorated `tree_node`.
+
+    A field, named in `__match_args__`, holds a node, a tuple of nodes, or a
+    value such as a symbol or a name.  Pickling, copying, and the `==` and
+    hash that `App` does not write itself, go through `_flatten`; `repr` has
+    its own stack.  So the depth of a tree or term is not bounded by the
+    recursion limit.  A node's hash is computed on first use and kept in the
+    instance: building a node costs what the dataclass does.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return _flatten(self) == _flatten(other)
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(_flatten(self))
+        return h
+
+    def __repr__(self) -> str:
+        # The text the generated `__repr__` gives, from an explicit stack.
+        parts = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                parts.append(item)
+                continue
+            if type(item) is tuple:
+                items = ["("]
+                for k, v in enumerate(item):
+                    items += (", ", _shown(v)) if k else (_shown(v),)
+                items.append(",)" if len(item) == 1 else ")")
+            else:
+                items = [type(item).__qualname__ + "("]
+                for k, f in enumerate(type(item).__match_args__):
+                    items += (", " if k else "", f + "=", _shown(getattr(item, f)))
+                items.append(")")
+            stack += reversed(items)
+        return "".join(parts)
+
+    def __reduce__(self):
+        # String hashes differ between processes: rebuild, never copy `_hash`.
+        return _rebuild, (_flatten(self),)
+
+
+# The decorator of the proof and strategy nodes: a frozen dataclass on `TreeNode`'s methods.
+tree_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+def _flatten(node: TreeNode) -> tuple:
+    """`node` as a post-order tuple of values and steps `(make, n)`.
+
+    A step applies `make` to the last `n` finished values.  Tuple fields
+    are spread out, so every tuple in the list is a step.  Two trees are
+    equal exactly when their lists are.
+    """
+    flat = []
+    stack: list = [node]
+    while stack:
+        item = stack.pop()
+        if not isinstance(item, TreeNode):
+            flat.append(item)
+            continue
+        kind = type(item)
+        todo = []
+        for f in kind.__match_args__:
+            v = getattr(item, f)
+            todo += (*v, (_tuple, len(v))) if type(v) is tuple else (v,)
+        todo.append((kind, len(kind.__match_args__)))
+        stack += reversed(todo)
+    return tuple(flat)
+
+
+def _rebuild(flat: tuple) -> TreeNode:
+    """The node `_flatten` gave `flat` for."""
+    done: list = []
+    for item in flat:
+        if type(item) is tuple:
+            make, n = item
+            n = len(done) - n
+            done[n:] = [make(*done[n:])]
+        else:
+            done.append(item)
+    return done[0]
+
+
+def _tuple(*values) -> tuple:
+    return values
+
+
+def _shown(value):
+    """`value` if `TreeNode.__repr__` expands it, else its text."""
+    return value if type(value) is tuple or isinstance(value, TreeNode) else repr(value)
+
+
 @dataclass(frozen=True, slots=True, repr=False)
-class App:
+class App(TreeNode):
     """A symbol applied to exactly `symbol.arity` argument terms."""
 
     symbol: Symbol
@@ -143,36 +246,8 @@ class App:
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        # A flat post-order list of leaves and symbols, so that depth is not
-        # bounded by the recursion limit of pickle or deepcopy.  String
-        # hashes differ between processes: rebuild, never copy `_hash`.
-        flat = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if type(node) is App and node.args:
-                stack.append(node.symbol)
-                stack += reversed(node.args)
-            else:
-                flat.append(node.symbol if type(node) is App else node)
-        return _unflatten, (tuple(flat),)
-
     def __str__(self) -> str:
         return print_term(self)
-
-
-def _unflatten(flat: tuple) -> Term:
-    """The term `App.__reduce__` flattened: a symbol takes the last
-    `arity` finished terms as its arguments."""
-    done = []
-    for item in flat:
-        if type(item) is Symbol:
-            n = len(done) - item.arity
-            done[n:] = [App(item, tuple(done[n:]))]
-        else:
-            done.append(item)
-    return done[0]
 
 
 Term = Var | App
@@ -441,107 +516,3 @@ def print_tree(root, expand) -> str:
         else:
             stack.extend(reversed(expand(item)))
     return "".join(parts)
-
-
-class TreeNode:
-    """Base of the proof and strategy node classes, decorated `tree_node`.
-
-    A field, named in `__match_args__`, holds a node, a tuple of nodes, or a
-    value such as a term or a name.  Equality, hashing and pickling go
-    through `_flatten`, and `repr` through its own stack, which `App` shares,
-    so the depth of a tree or term is not bounded by the recursion limit.
-    The hash is computed on first use and kept in the instance: building a
-    node costs what the dataclass does.
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return _flatten(self) == _flatten(other)
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash(_flatten(self))
-        return h
-
-    def __repr__(self) -> str:
-        # The text the generated `__repr__` gives, from an explicit stack.
-        parts = []
-        stack = [self]
-        while stack:
-            item = stack.pop()
-            if type(item) is str:
-                parts.append(item)
-                continue
-            if type(item) is tuple:
-                items = ["("]
-                for k, v in enumerate(item):
-                    items += (", ", _shown(v)) if k else (_shown(v),)
-                items.append(",)" if len(item) == 1 else ")")
-            else:
-                items = [type(item).__qualname__ + "("]
-                for k, f in enumerate(type(item).__match_args__):
-                    items += (", " if k else "", f + "=", _shown(getattr(item, f)))
-                items.append(")")
-            stack += reversed(items)
-        return "".join(parts)
-
-    def __reduce__(self):
-        # String hashes differ between processes: rebuild, never copy `_hash`.
-        return _rebuild, (_flatten(self),)
-
-
-# The decorator of `TreeNode` subclasses: a frozen dataclass on its methods.
-tree_node = dataclass(frozen=True, eq=False, repr=False)
-App.__repr__ = TreeNode.__repr__
-
-
-def _flatten(node: TreeNode) -> tuple:
-    """`node` as a post-order tuple of values and steps `(make, n)`.
-
-    A step applies `make` to the last `n` finished values.  Tuple fields
-    are spread out, so every tuple in the list is a step.  Two trees are
-    equal exactly when their lists are.
-    """
-    flat = []
-    stack: list = [node]
-    while stack:
-        item = stack.pop()
-        if not isinstance(item, TreeNode):
-            flat.append(item)
-            continue
-        kind = type(item)
-        todo = []
-        for f in kind.__match_args__:
-            v = getattr(item, f)
-            todo += (*v, (_tuple, len(v))) if type(v) is tuple else (v,)
-        todo.append((kind, len(kind.__match_args__)))
-        stack += reversed(todo)
-    return tuple(flat)
-
-
-def _rebuild(flat: tuple) -> TreeNode:
-    """The node `_flatten` gave `flat` for."""
-    done: list = []
-    for item in flat:
-        if type(item) is tuple:
-            make, n = item
-            n = len(done) - n
-            done[n:] = [make(*done[n:])]
-        else:
-            done.append(item)
-    return done[0]
-
-
-def _tuple(*values) -> tuple:
-    return values
-
-
-def _shown(value):
-    """`value` if `TreeNode.__repr__` expands it, else its text."""
-    return value if type(value) in (tuple, App) or isinstance(value, TreeNode) else repr(value)

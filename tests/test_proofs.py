@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+import pickle
 import random
 import subprocess
 import sys
@@ -32,6 +34,7 @@ from termstrat import (
     infer,
     load_theory,
     parse_proof,
+    parse_strategy,
     parse_term,
     print_derivation,
     print_proof,
@@ -51,7 +54,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 DEEP = 10_000
-FLIP = load_theory("sig a/0 b/0 f/1\nrule p : a => b\nrule q : b => a\n")
+FLIP = load_theory("sig a/0 b/0 f/1 g/2\nrule p : a => b\nrule q : b => a\n")
 # p ; (q ; (p ; ... (p ; q))), DEEP operands: right-nested, printed as it reads.
 RIGHT_CHAIN = " ; (".join(["p", "q"] * (DEEP // 2 - 1) + ["p"]) + " ; q" + ")" * (DEEP - 2)
 # The operands of p ; q ; p ; ... ; q, which reads as a left-deep Trans.
@@ -412,10 +415,51 @@ class TestNodeMethods:
                 "f(" * DEEP + "q" + ")" * DEEP,
                 "Cong(symbol=Symbol(name='f', arity=1), args=(" * DEEP + repl("p") + ",))" * DEEP,
             ),
+            (
+                "g(p," + "f(" * DEEP + "a" + ")" * DEEP + ")",
+                "g(p," + "f(" * DEEP + "b" + ")" * DEEP + ")",
+                f"Cong(symbol=Symbol(name='g', arity=2), args=({repl('p')}, Embed(term="
+                + "App(symbol=Symbol(name='f', arity=1), args=(" * DEEP
+                + "App(symbol=Symbol(name='a', arity=0), args=())"
+                + ",))" * DEEP
+                + ")))",
+            ),
         ],
-        ids=["chain", "congruence"],
+        ids=["chain", "congruence", "embedded-term"],
     )
     def test_at_depth(self, text, other, shown):
         check_deep_node(
             lambda s: parse_proof(s, FLIP.rules, FLIP.signature), print_proof, text, other, shown
         )
+
+    def test_pickles_cross_processes(self):
+        # String hashes differ between processes, so a pickle that carried a
+        # cached hash would load with the wrong one.
+        term = "f(" * DEEP + "a" + ")" * DEEP
+        texts = (term, f"g(p,{term})", f"seq(p,occurs({term}))")
+        script = (
+            "import pickle, sys\n"
+            "from termstrat import load_theory, parse_proof, parse_strategy, parse_term\n"
+            "th = load_theory('sig a/0 b/0 f/1 g/2\\nrule p : a => b\\nrule q : b => a\\n')\n"
+            "term, proof, strategy = sys.argv[1:]\n"
+            "sys.stdout.buffer.write(pickle.dumps((parse_term(term, th.signature),\n"
+            "    parse_proof(proof, th.rules, th.signature),\n"
+            "    parse_strategy(strategy, th.rules, th.signature))))\n"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *texts],
+            cwd=REPO,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        local = (
+            parse_term(texts[0], FLIP.signature),
+            parse_proof(texts[1], FLIP.rules, FLIP.signature),
+            parse_strategy(texts[2], FLIP.rules, FLIP.signature),
+        )
+        for back, here in zip(pickle.loads(proc.stdout), local, strict=True):
+            assert back is not here and back == here and hash(back) == hash(here)
+            assert {here: "found"}.get(back) == "found"
