@@ -232,11 +232,12 @@ def to_derivation(pi: ProofTerm, rs: RuleSet) -> Derivation:
     source = t = infer(pi, rs).source
     steps = []
     for path, rule in _firings(pi, rs):
-        # `infer` accepted `pi`, so every listed rule matches where it fires.
+        # `infer` accepted `pi`, so every listed rule matches where it fires,
+        # and each step starts at the last one's target: they chain.
         step = rewrite_at(t, rule, Position(path))
         steps.append(step)
         t = step.target
-    return Derivation(source, tuple(steps))
+    return Derivation._unchecked(source, tuple(steps))
 
 
 def _firings(pi: ProofTerm, rs: RuleSet):

@@ -19,6 +19,7 @@ from .terms import (
     Signature,
     Substitution,
     Term,
+    TreeNode,
     Var,
     apply_subst,
     match,
@@ -26,6 +27,7 @@ from .terms import (
     print_term,
     replace_at,
     subterm_at,
+    tree_node,
     variables,
 )
 from .lex import Lexer
@@ -113,27 +115,13 @@ class StepLabel:
         return f"({self.position},{self.rule_label},{self.subst})"
 
 
-@dataclass(frozen=True)
-class RewriteStep:
+@tree_node
+class RewriteStep(TreeNode):
     """One rewrite `source -> target` justified by `label`."""
 
     source: Term
     label: StepLabel
     target: Term
-
-    def __hash__(self) -> int:
-        # Cached on first use, since a step is shared by every derivation
-        # through it; only the steps that get hashed pay for it.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.source, self.label, self.target))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __reduce__(self):
-        # String hashes differ between processes: rebuild, never copy `_hash`.
-        return RewriteStep, (self.source, self.label, self.target)
 
     def __str__(self) -> str:
         return (
@@ -334,22 +322,21 @@ def apply_step(t: Term, label: StepLabel, rs: RuleSet) -> RewriteStep:
     """Replay a recorded step on `t`; the recorded bindings must agree exactly."""
     rule = rs.lookup(label.rule_label)
     try:
-        sub = subterm_at(t, label.position)
+        step = rewrite_at(t, rule, label.position)
     except Exception as e:
         raise StepMismatch(f"cannot replay {label} on {print_term(t)}: {e}") from e
-    sigma = match(rule.lhs, sub)
-    if sigma is None:
+    if step is None:
         raise StepMismatch(
-            f"rule {label.rule_label} does not match {print_term(sub)} "
+            f"rule {label.rule_label} does not match "
+            f"{print_term(subterm_at(t, label.position))} "
             f"at {label.position} in {print_term(t)}"
         )
-    if sigma != label.subst:
+    if step.label.subst != label.subst:
         raise StepMismatch(
-            f"recorded bindings {label.subst} disagree with match {sigma} "
+            f"recorded bindings {label.subst} disagree with match {step.label.subst} "
             f"for {label.rule_label} at {label.position} in {print_term(t)}"
         )
-    target = replace_at(t, label.position, apply_subst(sigma, rule.rhs))
-    return RewriteStep(t, label, target)
+    return step
 
 
 def parse_rule_line(lexer: Lexer, sig: Signature, i: int) -> tuple[Rule, int]:

@@ -87,12 +87,13 @@ class Var:
 
 
 class TreeNode:
-    """Base of `App` and of the proof and strategy nodes, decorated `tree_node`.
+    """Base of `App`, `RewriteStep`, and the proof and strategy nodes.
 
     A field, named in `__match_args__`, holds a node, a tuple of nodes, or a
     value such as a symbol or a name.  Pickling, copying, and the `==` and
-    hash that `App` does not write itself, go through `_flatten`; `repr` has
-    its own stack.  So the depth of a tree or term is not bounded by the
+    hash that `App` does not write itself, go through `_flatten`, where a
+    term inside another node is one value with its own `==` and hash; `repr`
+    has its own stack.  So the depth of a tree or term is not bounded by the
     recursion limit.  A node's hash is computed on first use and kept in the
     instance: building a node costs what the dataclass does.
     """
@@ -107,10 +108,13 @@ class TreeNode:
         return _flatten(self) == _flatten(other)
 
     def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash(_flatten(self))
-        return h
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(_flatten(self))
+            # Set as an attribute: writing `__dict__` makes later reads slower.
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         # The text the generated `__repr__` gives, from an explicit stack.
@@ -138,8 +142,12 @@ class TreeNode:
         # String hashes differ between processes: rebuild, never copy `_hash`.
         return _rebuild, (_flatten(self),)
 
+    def __deepcopy__(self, memo):
+        # A new node, sharing the values it holds whole, such as a proof's terms.
+        return _rebuild(_flatten(self))
 
-# The decorator of the proof and strategy nodes: a frozen dataclass on `TreeNode`'s methods.
+
+# The decorator of the other `TreeNode`s: a frozen dataclass on `TreeNode`'s methods.
 tree_node = dataclass(frozen=True, eq=False, repr=False)
 
 
@@ -147,14 +155,16 @@ def _flatten(node: TreeNode) -> tuple:
     """`node` as a post-order tuple of values and steps `(make, n)`.
 
     A step applies `make` to the last `n` finished values.  Tuple fields
-    are spread out, so every tuple in the list is a step.  Two trees are
-    equal exactly when their lists are.
+    are spread out, so every tuple in the list is a step.  Below a root
+    that is not an `App`, a term is one value.  Two trees are equal exactly
+    when their lists are.
     """
     flat = []
     stack: list = [node]
+    whole = type(node) is not App
     while stack:
         item = stack.pop()
-        if not isinstance(item, TreeNode):
+        if not isinstance(item, TreeNode) or whole and type(item) is App:
             flat.append(item)
             continue
         kind = type(item)

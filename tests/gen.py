@@ -337,8 +337,9 @@ def node_key(x):
 
 
 def check_node_methods(a, b, same) -> None:
-    """`==`, `hash`, `repr`, pickle and deepcopy of the proof or strategy
-    nodes `a` and `b`, against the generated methods; `same` equals `a`."""
+    """`==`, `hash`, `repr`, pickle and deepcopy of the step, proof or
+    strategy nodes `a` and `b`, against the generated methods; `same`
+    equals `a`."""
     assert same is not a and same == a and not same != a and hash(same) == hash(a)
     assert (a == b) == (node_key(a) == node_key(b)) == (not a != b)
     assert a != b or hash(a) == hash(b)

@@ -26,6 +26,7 @@ from termstrat import (
     Trans,
     UnknownLabel,
     UnknownSymbol,
+    Var,
     apply_proof_set,
     apply_step,
     check,
@@ -42,6 +43,7 @@ from termstrat import (
     rewrite_at,
     to_derivation,
 )
+from termstrat.terms import _flatten
 from gen import (
     brute_derivations,
     check_deep_node,
@@ -431,6 +433,26 @@ class TestNodeMethods:
         check_deep_node(
             lambda s: parse_proof(s, FLIP.rules, FLIP.signature), print_proof, text, other, shown
         )
+
+    def test_a_term_is_one_item(self, rex):
+        # Below a proof node a term is not spread out: `==` and hash use its
+        # own, and pickling leaves it to the term's own codec.
+        rng = random.Random(37)
+        terms = [random_ground_term(rng, rex.signature, 5) for _ in range(100)]
+        terms += [Var("x"), t(rex, "f(" * DEEP + "x" + ")" * DEEP)]
+        for term in terms:
+            assert len(_flatten(Embed(term))) == 2
+
+    def test_embedded_terms_built_apart(self):
+        def proof(leaf, depth=DEEP):
+            term = parse_term("f(" * depth + leaf + ")" * depth, FLIP.signature)
+            return Cong(FLIP.signature.lookup("g"), (Repl("p"), Embed(term)))
+
+        a, same = proof("a"), proof("a")
+        assert a.args[1].term is not same.args[1].term
+        assert a == same and not a != same and hash(a) == hash(same)
+        for other in (proof("b"), proof("a", DEEP - 1)):
+            assert a != other and not a == other
 
     def test_pickles_cross_processes(self):
         # String hashes differ between processes, so a pickle that carried a

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import termstrat.terms
 from termstrat import (
     App,
     InvalidPosition,
     Position,
     ROOT,
+    RewriteStep,
     Rule,
     RuleSet,
     StepMismatch,
@@ -21,14 +23,23 @@ from termstrat import (
     apply_step,
     innermost,
     apply_subst,
+    load_theory,
     parse_term,
     positions,
+    print_term,
     rewrite_at,
     rightmost_innermost,
     subterm_at,
     traced,
 )
-from gen import ground_terms, naive_match, random_ground_term, random_pattern
+from gen import (
+    check_deep_node,
+    check_node_methods,
+    ground_terms,
+    naive_match,
+    random_ground_term,
+    random_pattern,
+)
 
 
 def t(rex, text):
@@ -235,3 +246,61 @@ class TestApplyStep:
         assert str(label) == "(1,r2,{x->a})"
         step = apply_step(t(rex, "f(g(a))"), label, rex.rules)
         assert str(step) == "f(g(a)) -[1,r2]-> f(a)"
+
+
+DEEP = 10_000
+FLIP = load_theory("sig a/0 b/0 f/1 g/2\nrule p : a => b\nrule q : b => a\n")
+
+
+def first_step(text: str) -> RewriteStep:
+    """The first step `all_redexes` lists for the FLIP term `text`."""
+    term = parse_term(text, FLIP.signature)
+    return apply_step(term, all_redexes(term, FLIP.rules)[0], FLIP.rules)
+
+
+def tower(leaf: str) -> str:
+    """The generated `repr` of f^DEEP(leaf)."""
+    return (
+        "App(symbol=Symbol(name='f', arity=1), args=(" * DEEP
+        + f"App(symbol=Symbol(name='{leaf}', arity=0), args=())"
+        + ",))" * DEEP
+    )
+
+
+class TestRewriteStepNode:
+    """A step is a `TreeNode`: the codec and `repr` of proof and strategy
+    nodes, with its source and target as single values."""
+
+    def test_agree_with_the_generated_ones(self, rex):
+        rng = random.Random(31)
+        steps = []
+        for _ in range(60):
+            term = random_ground_term(rng, rex.signature, 4)
+            steps += (apply_step(term, lab, rex.rules) for lab in all_redexes(term, rex.rules))
+        assert len(steps) > 30
+        for a, b in zip(steps, steps[1:]):
+            copy = t(rex, print_term(a.source))
+            check_node_methods(a, b, apply_step(copy, a.label, rex.rules))
+        assert any(a == b for a, b in zip(steps, steps[1:]))
+
+    def test_at_depth(self):
+        path = "(" + ", ".join(["1"] * DEEP) + ")"
+        shown = (
+            f"RewriteStep(source={tower('a')}, label=StepLabel(position=Position(path={path}), "
+            f"rule_label='p', subst=Substitution(pairs=())), target={tower('b')})"
+        )
+        text = "f(" * DEEP + "a" + ")" * DEEP
+        other = "f(" * DEEP + "b" + ")" * DEEP
+        check_deep_node(first_step, lambda step: print_term(step.source), text, other, shown)
+        step = first_step(text)
+        assert print_term(step.target) == other and str(step).endswith(f",p]-> {other}")
+
+    def test_hash_flattens_once(self, monkeypatch):
+        step = first_step("g(a,f(b))")
+        flattened = []
+        real = termstrat.terms._flatten
+        monkeypatch.setattr(
+            termstrat.terms, "_flatten", lambda node: flattened.append(node) or real(node)
+        )
+        assert hash(step) == hash(step) == hash(first_step("g(a,f(b))"))
+        assert [node is step for node in flattened].count(True) == 1
