@@ -23,7 +23,9 @@ from .rules import (
     RuleSet,
     StepLabel,
     _normalize_rightmost_innermost,
+    _out_of_fuel,
     _redexes,
+    _step_text,
     all_redexes,
     apply_step,
 )
@@ -87,14 +89,6 @@ class Derivation:
 def print_derivation(d: Derivation) -> str:
     """One-line text form; an empty derivation prints as its source term."""
     return print_term(d.source) + "".join(map(_step_text, d.steps))
-
-
-def _step_text(step: RewriteStep) -> str:
-    """What one step adds to its derivation's line."""
-    return (
-        f" -[{step.label.position},{step.label.rule_label}]-> "
-        f"{print_term(step.target)}"
-    )
 
 
 def derivation_to_json(d: Derivation) -> list:
@@ -378,12 +372,11 @@ def normal_forms_under(zeta: IntensionalStrategy, a: Term, fuel: int) -> set:
     where `innermost` allows two or more steps the pass returns None, and
     the search runs from the start.
     """
-    message = f"normal-form search from {print_term(a)} ran out of fuel"
     if isinstance(zeta, _Innermost):
-        forms = _normalize_rightmost_innermost(a, zeta.rules, fuel, message, zeta.single)
+        forms = _normalize_rightmost_innermost(a, zeta.rules, fuel, zeta.single)
         if forms is not None:
             return forms
-    spend = Fuel(fuel, message).spend
+    spend = Fuel(fuel, _out_of_fuel(a)).spend
     normals: set[Term] = set()
     frontier = deque([traced(a)])
     seen = {a} if zeta.memoryless else None

@@ -7,8 +7,11 @@ Four batch commands over a theory file:
     derive       list the bounded derivation tree a strategy generates
     check-proof  infer (and optionally check) the sequent of a proof term
 
-Exit codes: 0 success / strategy value, 1 failure result or sequent
-mismatch, 2 fuel exhausted or inference error, 3 usage and parse errors.
+Exit codes, all chosen in `main`: 0 success / strategy value, 1 failure
+result (`stk`) or sequent mismatch, 2 fuel exhausted (`FuelExhausted`) or
+an inference error (`ComposeError`, `UnknownLabel`, `ArityError`), 3 a
+usage error or a `ParseError` (an unreadable theory file, malformed input,
+or a wrong argument count in input text).  `--help` exits 0.
 All collection output is sorted on the printed form, so identical inputs
 give byte-identical output.
 """
@@ -22,7 +25,6 @@ from operator import itemgetter
 
 from .ars import (
     _step_json,
-    _step_text,
     all_steps,
     extension,
     innermost,
@@ -37,28 +39,25 @@ from .errors import (
     UnknownLabel,
 )
 from .proofs import infer, parse_proof
+from .rules import _step_text
 from .strategies import STK, eval_strategy, parse_strategy
 from .terms import parse_term, print_term
 from .theory import Theory, load_theory
 
-_INTENSIONAL = ("innermost", "rightmost-innermost", "all")
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract here reserves 2 for
-    fuel/inference, so usage errors are remapped to 3."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(3, f"{self.prog}: error: {message}\n")
+# --intensional name -> the strategy it builds from a rule set, in usage order
+_INTENSIONAL = {
+    "innermost": innermost,
+    "rightmost-innermost": rightmost_innermost,
+    "all": all_steps,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="termstrat",
         description="Strategic term rewriting: evaluate, normalize, derive, check proofs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--file", required=True, help="theory file (sig/rule/strat lines)")
@@ -107,16 +106,7 @@ def _load(path: str) -> Theory:
         raise ParseError(f"{path}:{e}") from e
 
 
-def _strategy_for(name: str, rs):
-    if name == "innermost":
-        return innermost(rs)
-    if name == "rightmost-innermost":
-        return rightmost_innermost(rs)
-    return all_steps(rs)
-
-
-def cmd_eval(ns) -> int:
-    th = _load(ns.file)
+def cmd_eval(ns, th: Theory) -> int:
     term = parse_term(ns.term, th.signature)
     strat = parse_strategy(ns.strategy, th.rules, th.signature, th.strategies)
     result = eval_strategy(strat, term, th.rules, ns.fuel)
@@ -127,21 +117,19 @@ def cmd_eval(ns) -> int:
     return 0
 
 
-def cmd_normalize(ns) -> int:
-    th = _load(ns.file)
+def cmd_normalize(ns, th: Theory) -> int:
     term = parse_term(ns.term, th.signature)
-    zeta = _strategy_for(ns.intensional, th.rules)
+    zeta = _INTENSIONAL[ns.intensional](th.rules)
     for line in sorted(print_term(t) for t in normal_forms_under(zeta, term, ns.fuel)):
         print(line)
     return 0
 
 
-def cmd_derive(ns) -> int:
-    th = _load(ns.file)
+def cmd_derive(ns, th: Theory) -> int:
     term = parse_term(ns.term, th.signature)
     if ns.depth < 0:
         raise ParseError("--depth must be nonnegative")
-    zeta = _strategy_for(ns.intensional, th.rules)
+    zeta = _INTENSIONAL[ns.intensional](th.rules)
     ds = extension(zeta, term, ns.depth)
     # Derivations share the step objects of their common prefixes, so each
     # step is rendered once, however many derivations pass through it.  The
@@ -175,23 +163,11 @@ def _once(render):
     return get
 
 
-def cmd_check_proof(ns) -> int:
-    th = _load(ns.file)
+def cmd_check_proof(ns, th: Theory) -> int:
     proof = parse_proof(ns.proof, th.rules, th.signature)
     expect_from = parse_term(ns.from_term, th.signature) if ns.from_term else None
     expect_to = parse_term(ns.to_term, th.signature) if ns.to_term else None
-    try:
-        seq = infer(proof, th.rules)
-    except ComposeError as e:
-        print(
-            f"error: cannot chain: left side ends at {print_term(e.left_target)} "
-            f"but right side starts at {print_term(e.right_source)}",
-            file=sys.stderr,
-        )
-        return 2
-    except (UnknownLabel, ArityError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    seq = infer(proof, th.rules)
     print(f"{print_term(seq.source)} -> {print_term(seq.target)}")
     if expect_from is not None and seq.source != expect_from:
         print(f"mismatch: expected source {ns.from_term}", file=sys.stderr)
@@ -211,18 +187,27 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place an outcome becomes an exit code."""
     try:
         ns = build_parser().parse_args(argv)
     except SystemExit as e:
-        return int(e.code or 0)
+        code = int(e.code or 0)
+        return 3 if code == 2 else code  # argparse's usage error is 2; 2 means fuel here
     try:
-        return _COMMANDS[ns.command](ns)
-    except FuelExhausted as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ParseError, ArityError, UnknownLabel) as e:
+        return _COMMANDS[ns.command](ns, _load(ns.file))
+    except ParseError as e:  # first: a ParseArityError is also an ArityError
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except ComposeError as e:
+        print(
+            f"error: cannot chain: left side ends at {print_term(e.left_target)} "
+            f"but right side starts at {print_term(e.right_source)}",
+            file=sys.stderr,
+        )
+        return 2
+    except (FuelExhausted, UnknownLabel, ArityError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

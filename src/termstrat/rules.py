@@ -124,10 +124,12 @@ class RewriteStep(TreeNode):
     target: Term
 
     def __str__(self) -> str:
-        return (
-            f"{print_term(self.source)} -[{self.label.position},"
-            f"{self.label.rule_label}]-> {print_term(self.target)}"
-        )
+        return print_term(self.source) + _step_text(self)
+
+
+def _step_text(step: RewriteStep) -> str:
+    """What one step adds to its derivation's line."""
+    return f" -[{step.label.position},{step.label.rule_label}]-> {print_term(step.target)}"
 
 
 def rewrite_at(t: Term, rule: Rule, p: Position) -> RewriteStep | None:
@@ -200,13 +202,13 @@ def _redexes(t: Term, rs: RuleSet, innermost: bool = False, backward: bool = Fal
                 path.pop()
 
 
-def _normalize_rightmost_innermost(t: Term, rs: RuleSet, fuel: int, message: str, single=False):
+def _normalize_rightmost_innermost(t: Term, rs: RuleSet, fuel: int, single=False):
     """Rewrite `t` rightmost-innermost to its normal form in one post-order pass.
 
     Returns the set of normal forms `normal_forms_under` gives for `fuel`,
-    or raises FuelExhausted with `message`, or returns None when the search
-    must decide.  A node's children are normalized right to left, then the
-    rules indexed under its head are tried in declaration order; a rewrite
+    or raises FuelExhausted with `_out_of_fuel(t)`, or returns None when the
+    search must decide.  A node's children are normalized right to left, then
+    the rules indexed under its head are tried in declaration order; a rewrite
     puts the instantiated right-hand side back on the stack to be normalized
     in its place.  This fires exactly the steps that repeating
     `_redexes(innermost=True, backward=True)` from the root would fire.
@@ -285,12 +287,12 @@ def _normalize_rightmost_innermost(t: Term, rs: RuleSet, fuel: int, message: str
                     checked = len(stack)
                 steps += 1
                 if steps > budget:
-                    raise FuelExhausted(message)
+                    raise FuelExhausted(_out_of_fuel(t))
                 seen = seen or {}  # a position's dict is never empty
                 first = seen.setdefault(node, steps)
                 if first != steps:
                     if fuel < first:
-                        raise FuelExhausted(message)
+                        raise FuelExhausted(_out_of_fuel(t))
                     return set() if steps - 1 <= fuel else None
                 stack.append([apply_subst(sigma, rule.rhs), seen])
                 break
@@ -298,8 +300,13 @@ def _normalize_rightmost_innermost(t: Term, rs: RuleSet, fuel: int, message: str
             normal[id(node)] = node
             done.append(node)
     if steps > max(fuel, 0):
-        raise FuelExhausted(message)
+        raise FuelExhausted(_out_of_fuel(t))
     return {done[0]}
+
+
+def _out_of_fuel(t: Term) -> str:
+    """The message of a normal-form search from `t` that runs out of fuel."""
+    return f"normal-form search from {print_term(t)} ran out of fuel"
 
 
 def _all_normal(terms: list, by_head: dict, normal: dict) -> bool:

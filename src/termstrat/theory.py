@@ -7,6 +7,7 @@ of declaration, freely interleaved, each referencing earlier lines only:
     rule <label> : <term> => <term>
     strat <name> = <strategy-expr>
 
+Rule labels and strategy names share one namespace: a name is declared once.
 Diagnostics carry the 1-based line and column of the offending token.
 """
 
@@ -40,6 +41,8 @@ def load_theory(text: str) -> Theory:
         if head == "sig":
             i = _sig_line(lexer, th, 1)
         elif head == "rule":
+            if lexer.tokens[1] in th.strategies:
+                raise lexer.error(f"name {lexer.tokens[1]} already declared", 1)
             rule, i = parse_rule_line(lexer, th.signature, 1)
             try:
                 th.rules.add(rule)

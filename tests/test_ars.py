@@ -478,6 +478,29 @@ class TestNormalForms:
         with pytest.raises(FuelExhausted):
             normal_forms_under(rightmost_innermost(rex.rules), term, 0)
 
+    def test_pass_prints_only_when_out_of_fuel(self, peano, monkeypatch):
+        # The out-of-fuel message names the start term; a run the pass
+        # finishes never prints it, and one that runs out prints it once.
+        calls = [0]
+        real = termstrat.rules.print_term
+
+        def counted(term):
+            calls[0] += 1
+            return real(term)
+
+        monkeypatch.setattr(termstrat.rules, "print_term", counted)
+        monkeypatch.setattr(termstrat.ars, "print_term", counted)
+        term = t(peano, "plus(s(s(0)),s(0))")
+        for zeta in (rightmost_innermost(peano.rules), innermost(peano.rules)):
+            assert normal_forms_under(zeta, term, 100) == {t(peano, "s(s(s(0)))")}
+        assert calls[0] == 0
+        with pytest.raises(FuelExhausted) as exc:
+            normal_forms_under(rightmost_innermost(peano.rules), term, 1)
+        assert str(exc.value) == (
+            "normal-form search from plus(s(s(0)),s(0)) ran out of fuel"
+        )
+        assert calls[0] == 1
+
     def test_cycle_with_memoryless_dedup_terminates(self):
         th = load_theory("sig a/0\nrule loop : a => a\n")
         a = parse_term("a", th.signature)

@@ -21,7 +21,9 @@ from termstrat import (
     print_term,
     rightmost_innermost,
 )
+import termstrat.cli
 from termstrat.cli import main
+from termstrat.errors import ArityError, UnknownLabel
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO / "docs" / "examples"
@@ -369,6 +371,50 @@ class TestDirectEntry:
             captured.err
             == "error: cannot chain: left side ends at b but right side starts at a\n"
         )
+
+    @pytest.mark.parametrize("argv", [["--help"], ["derive", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.startswith("usage: termstrat") and captured.err == ""
+
+    def test_usage_error_in_subcommand(self, capsys):
+        code = main(["derive", "--file", str(REPO / "docs" / "rex.trs"), "--term", "a"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("usage: termstrat derive ")
+        assert captured.err.endswith(
+            "termstrat derive: error: the following arguments are required: --depth\n"
+        )
+
+    @pytest.mark.parametrize(
+        "error", [UnknownLabel("unknown rule label 'zz'"), ArityError("r1 takes 0")]
+    )
+    def test_inference_error_exit_two(self, capsys, monkeypatch, error):
+        def infer(proof, rs):
+            raise error
+
+        monkeypatch.setattr(termstrat.cli, "infer", infer)
+        code = main(["check-proof", "--file", str(REPO / "docs" / "rex.trs"), "--proof", "r1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {error}\n"
+
+    def test_proof_arity_is_a_parse_error(self, capsys):
+        # A ParseArityError is also an ArityError; it still exits 3.
+        code = main(["check-proof", "--file", str(REPO / "docs" / "peano.trs"), "--proof", "ps(0)"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: 1:1: ps expects 2 argument(s), got 1\n"
+
+    def test_rule_reusing_strategy_name(self, capsys, tmp_path):
+        theory = tmp_path / "clash.trs"
+        theory.write_text("sig a/0 b/0\nstrat s = fail\nrule s : a => b\n")
+        code = main(["eval", "--file", str(theory), "--strategy", "s", "--term", "a"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: {theory}:3:6: name s already declared\n"
 
     def test_one_process_answers_like_fresh_ones(self, capsys):
         # Calls in one process, a usage error among them, leave nothing behind.

@@ -252,6 +252,8 @@ ERROR_TABLE = [
     ("theory", "strat s =", ParseError, "expected a strategy, found end of input", (1, 10)),
     ("theory", "sig a/0\nrule r : a => a\nstrat r = id", ParseError,
      "name r already declared", (3, 7)),
+    ("theory", "sig a/0 b/0\nstrat s = fail\nrule s : a => b", ParseError,
+     "name s already declared", (3, 6)),
     ("theory", "strat s = mu 1 . id", ParseError,
      "expected recursion variable, found '1'", (1, 14)),
     ("theory", "(foo", ParseError, "expected declaration keyword, found '('", (1, 1)),

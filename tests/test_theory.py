@@ -121,6 +121,14 @@ class TestConflicts:
         with pytest.raises(ParseError):
             load_theory("sig a/0\nrule r : a => a\nstrat r = id\n")
 
+    def test_rule_label_collides_with_strat(self):
+        # Checked at the label, before the sides: the rule would otherwise
+        # hide the strategy of the same name.
+        with pytest.raises(ParseError) as exc:
+            load_theory("sig a/0 b/0\nstrat s = fail\nrule s : a => b k(\n")
+        assert exc.value.args[0] == "name s already declared"
+        assert (exc.value.line, exc.value.col) == (3, 6)
+
     def test_strat_name_reserved(self):
         with pytest.raises(ParseError):
             load_theory("sig a/0\nstrat repeat = id\n")
