@@ -6,7 +6,7 @@ usually infinite, so it is never materialized).  An intensional strategy is
 a function from traced objects to the steps it allows next; `extension`
 turns the latter into the former, prefix-closed by construction.
 
-All exploration is deterministic: candidate steps are always visited in
+All exploration is deterministic: candidate steps are always fired in
 (position, rule, bindings) order.
 """
 
@@ -16,6 +16,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ComposeError, Fuel
 from .rules import (
@@ -224,39 +225,48 @@ class Extension(AbstractStrategy):
         return True
 
     def enumerate(self, source: Term, max_len: int) -> set:
-        """Walk the derivation tree depth first, last choice first.
+        steps: list[RewriteStep] = []
+        out = [Derivation(source)]
+        for n, step in self._walk(source, max_len):
+            steps[n - 1 :] = [step]
+            out.append(Derivation._unchecked(source, tuple(steps)))
+        return set(out)
 
-        For a memoryless strategy the steps at a term are chosen and fired
-        once, the first time the walk expands that term, and every
-        derivation through it shares those `RewriteStep` objects.  Its cost
-        is then one choice and one firing per distinct term, plus one tuple
-        per derivation: the depth-10 tree of 4025 derivations from
-        `plus(s(s(s(0))),plus(s(s(0)),plus(s(0),s(s(0)))))` under
-        `all_steps` fires 133 steps.  Other strategies are asked again at
-        every prefix.  Terms are first expanded in the same order either
-        way, so an invalid label raises at the same point.
+    def _walk(self, source: Term, max_len: int, view=None):
+        """Walk the derivation tree from `source` depth first, in preorder.
+
+        Yields (n, v) for each derivation of length 1 <= n <= max_len: `v` is
+        `view` of its last step (or the step itself), and the derivation
+        extends the last one yielded at n - 1.  Steps come in the strategy's
+        order, or sorted by view.  A memoryless strategy's steps at each
+        distinct term are chosen, fired and viewed once, then shared; other
+        strategies are asked at every prefix, traced one pair per step.
         """
         zeta = self.zeta
+        shared: dict[Term, list[tuple]] = {}  # memoryless: term -> its children
 
-        def fire(tr: TracedObject) -> list[RewriteStep]:
-            return [apply_step(tr.current, lab, zeta.rules) for lab in zeta.sorted_choice(tr)]
+        def children(tr: TracedObject) -> list[tuple]:
+            """(view, traced target) of each step `zeta` allows at `tr`, in order."""
+            out = shared.get(tr.current)
+            if out is None:
+                out = []
+                for lab in zeta.sorted_choice(tr):
+                    step = apply_step(tr.current, lab, zeta.rules)
+                    trace = () if zeta.memoryless else tr.trace + ((tr.current, lab),)
+                    out.append((view(step) if view else step, TracedObject(trace, step.target)))
+                if view:
+                    out.sort(key=itemgetter(0))
+                if zeta.memoryless:
+                    shared[tr.current] = out
+            return out
 
-        fired: dict[Term, list[RewriteStep]] = {}  # memoryless: term -> its steps
-        out = []
-        frontier = [Derivation(source)]
-        while frontier:
-            d = frontier.pop()
-            out.append(d)
-            if len(d.steps) >= max_len:
-                continue
-            if not zeta.memoryless:
-                steps = fire(TracedObject.of_derivation(d))
-            else:
-                steps = fired.get(d.target)
-                if steps is None:
-                    steps = fired[d.target] = fire(traced(d.target))
-            frontier += [Derivation._unchecked(source, d.steps + (step,)) for step in steps]
-        return set(out)
+        stack = [(0, None, traced(source))]
+        while stack:
+            n, v, tr = stack.pop()
+            if n:
+                yield n, v
+            if n < max_len:
+                stack += reversed([(n + 1, *kid) for kid in children(tr)])
 
 
 def extension(zeta: IntensionalStrategy, a: Term, max_len: int) -> set:

@@ -21,12 +21,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from operator import itemgetter
 
 from .ars import (
+    Extension,
     _step_json,
     all_steps,
-    extension,
     innermost,
     normal_forms_under,
     rightmost_innermost,
@@ -130,43 +129,30 @@ def cmd_derive(ns, th: Theory) -> int:
     if ns.depth < 0:
         raise ParseError("--depth must be nonnegative")
     zeta = _INTENSIONAL[ns.intensional](th.rules)
-    ds = extension(zeta, term, ns.depth)
-    # Derivations share the step objects of their common prefixes, so each
-    # step is rendered once, however many derivations pass through it.  The
-    # output is `print_derivation` and `derivation_to_json`'s, byte for byte.
-    head = print_term(term)
-    text = _once(_step_text)
-    rows = sorted(((head + "".join(map(text, d.steps)), d) for d in ds), key=itemgetter(0))
+    # Walk order is sorted order: texts of siblings differ before either ends.
+    path = ["" if ns.json else print_term(term)]  # path[n]: the last output of length n
+    lines = path[:]
+    for n, v in Extension(zeta)._walk(term, ns.depth, _json_view if ns.json else _step_text):
+        path[n:] = [path[n - 1] + (v[1] if ns.json else v)]
+        lines.append(path[-1])
     if ns.json:
-        # json.dumps(..., indent=2) of a step's object, two levels down
-        obj = _once(lambda step: json.dumps(_step_json(step), indent=2).replace("\n", "\n    "))
-        items = [
-            "[\n    " + ",\n    ".join(map(obj, d.steps)) + "\n  ]" if d.steps else "[]"
-            for _, d in rows
-        ]
+        items = ["[" + line[1:] + "\n  ]" if line else "[]" for line in lines]
         print("[\n  " + ",\n  ".join(items) + "\n]")
     else:
-        print("\n".join(line for line, _ in rows))
+        print("\n".join(lines))
     return 0
 
 
-def _once(render):
-    """`render`, computed once per object (kept alive by the caller)."""
-    memo: dict[int, str] = {}
-
-    def get(obj) -> str:
-        out = memo.get(id(obj))
-        if out is None:
-            out = memo[id(obj)] = render(obj)
-        return out
-
-    return get
+def _json_view(step) -> tuple[str, str]:
+    """A step's text, and its JSON object as `derive --json` prints it after another."""
+    obj = json.dumps(_step_json(step), indent=2).replace("\n", "\n    ")  # two levels down
+    return _step_text(step), ",\n    " + obj
 
 
 def cmd_check_proof(ns, th: Theory) -> int:
     proof = parse_proof(ns.proof, th.rules, th.signature)
-    expect_from = parse_term(ns.from_term, th.signature) if ns.from_term else None
-    expect_to = parse_term(ns.to_term, th.signature) if ns.to_term else None
+    expect_from = None if ns.from_term is None else parse_term(ns.from_term, th.signature)
+    expect_to = None if ns.to_term is None else parse_term(ns.to_term, th.signature)
     seq = infer(proof, th.rules)
     print(f"{print_term(seq.source)} -> {print_term(seq.target)}")
     if expect_from is not None and seq.source != expect_from:

@@ -7,7 +7,8 @@ of declaration, freely interleaved, each referencing earlier lines only:
     rule <label> : <term> => <term>
     strat <name> = <strategy-expr>
 
-Rule labels and strategy names share one namespace: a name is declared once.
+Rule labels and strategy names share one namespace: a name is declared once,
+and is never a strategy keyword.
 Diagnostics carry the 1-based line and column of the offending token.
 """
 
@@ -41,6 +42,8 @@ def load_theory(text: str) -> Theory:
         if head == "sig":
             i = _sig_line(lexer, th, 1)
         elif head == "rule":
+            if lexer.tokens[1] in _KEYWORDS:
+                raise lexer.error(f"{lexer.tokens[1]!r} is reserved", 1)
             if lexer.tokens[1] in th.strategies:
                 raise lexer.error(f"name {lexer.tokens[1]} already declared", 1)
             rule, i = parse_rule_line(lexer, th.signature, 1)

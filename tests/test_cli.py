@@ -17,6 +17,7 @@ from termstrat import (
     extension,
     innermost,
     load_theory,
+    parse_term,
     print_derivation,
     print_term,
     rightmost_innermost,
@@ -291,24 +292,50 @@ class TestExitCodes:
         assert proc.returncode == 0 and proc.stdout == ""
 
 
+# An 11-ary symbol, so that position 1.10 prints before 1.2 but follows it by
+# path, and rule labels and symbols that are prefixes of each other.
+PREFIXES = """\
+sig a/0 ab/0 c/0 u/1 k/11
+rule r : a => ab
+rule r1 : a => c
+rule r11 : ab => c
+rule ru : u(x) => x
+"""
+PREFIX_TERMS = (
+    "u(k(c,a,c,c,c,c,c,c,c,a,c))",
+    "k(c,ab,c,c,c,c,c,c,c,ab,a)",
+    "u(k(a,c,c,c,c,c,c,c,c,c,u(ab)))",
+)
+
+PEANO_10 = "plus(s(s(s(0))),plus(s(s(0)),plus(s(0),s(s(0)))))"
+
+
 class TestDeriveOutput:
-    """`derive` renders each shared step once; its output must equal the
+    """`derive` walks the derivation tree; its output must equal the
     per-derivation formulas applied to the same extension."""
 
     @pytest.mark.parametrize("mode", ["innermost", "rightmost-innermost", "all"])
-    @pytest.mark.parametrize("theory", ["rex", "peano"])
-    def test_equals_per_derivation_printing(self, capsys, theory, mode):
+    @pytest.mark.parametrize("theory", ["rex", "peano", "prefixes"])
+    def test_equals_per_derivation_printing(self, capsys, tmp_path, theory, mode):
         path = REPO / "docs" / f"{theory}.trs"
+        fixed = ()
+        if theory == "prefixes":
+            path = tmp_path / "prefixes.trs"
+            path.write_text(PREFIXES, encoding="utf-8")
+            fixed = PREFIX_TERMS
         th = load_theory(path.read_text(encoding="utf-8"))
         zeta = {"innermost": innermost, "rightmost-innermost": rightmost_innermost}.get(
             mode, all_steps
         )(th.rules)
         rng = random.Random(f"{theory}:{mode}")
         for depth in range(5):
+            terms = [parse_term(text, th.signature) for text in fixed]
             for _ in range(6):
                 term = random_ground_term(rng, th.signature, 5)
                 while not 2 <= len(all_redexes(term, th.rules)) <= 6:  # a tree, not too wide
                     term = random_ground_term(rng, th.signature, 5)
+                terms.append(term)
+            for term in terms:
                 ds = extension(zeta, term, depth)
                 text = "".join(line + "\n" for line in sorted(map(print_derivation, ds)))
                 ordered = sorted(ds, key=print_derivation)
@@ -319,6 +346,23 @@ class TestDeriveOutput:
                 assert capsys.readouterr().out == text
                 assert main([*argv, "--json"]) == 0
                 assert capsys.readouterr().out == doc
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_renders_each_distinct_step_once(self, capsys, monkeypatch, json_flag):
+        # 4025 derivations, but 133 distinct fired steps (see test_ars.py)
+        calls = [0]
+        real = termstrat.cli._step_text
+
+        def counted(step):
+            calls[0] += 1
+            return real(step)
+
+        monkeypatch.setattr(termstrat.cli, "_step_text", counted)
+        argv = ["derive", "--file", str(REPO / "docs" / "peano.trs"), "--term", PEANO_10]
+        assert main([*argv, "--depth", "10", *json_flag]) == 0
+        out = capsys.readouterr().out
+        assert len(json.loads(out) if json_flag else out.splitlines()) == 4025
+        assert calls[0] == 133
 
 
 class TestDirectEntry:
@@ -353,6 +397,14 @@ class TestDirectEntry:
         assert code == 1
         assert captured.out == "a -> b\n"
         assert "expected source" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--from", "--to"])
+    def test_check_proof_empty_expected_term(self, capsys, flag):
+        argv = ["check-proof", "--file", str(REPO / "docs" / "rex.trs"), "--proof", "r1"]
+        code = main([*argv, flag, ""])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: 1:1: expected a term, found end of input\n"
 
     def test_chain_error_exit_two(self, capsys):
         code = main(

@@ -254,6 +254,9 @@ ERROR_TABLE = [
      "name r already declared", (3, 7)),
     ("theory", "sig a/0 b/0\nstrat s = fail\nrule s : a => b", ParseError,
      "name s already declared", (3, 6)),
+    ("theory", "sig a/0 b/0\nrule id : a => b", ParseError, "'id' is reserved", (2, 6)),
+    ("theory", "sig a/0 b/0\nrule fail : b => a k(", ParseError, "'fail' is reserved", (2, 6)),
+    ("theory", "sig a/0\nrule mu : a => a", ParseError, "'mu' is reserved", (2, 6)),
     ("theory", "strat s = mu 1 . id", ParseError,
      "expected recursion variable, found '1'", (1, 14)),
     ("theory", "(foo", ParseError, "expected declaration keyword, found '('", (1, 1)),
