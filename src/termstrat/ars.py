@@ -16,6 +16,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 
 from .errors import ComposeError, Fuel
@@ -23,14 +24,15 @@ from .rules import (
     RewriteStep,
     RuleSet,
     StepLabel,
+    _fire,
+    _label,
     _normalize_rightmost_innermost,
     _out_of_fuel,
     _redexes,
     _step_text,
-    all_redexes,
     apply_step,
 )
-from .terms import Term, print_term
+from .terms import Position, Term, print_term
 
 
 @dataclass(frozen=True)
@@ -97,13 +99,13 @@ def derivation_to_json(d: Derivation) -> list:
     return [_step_json(step) for step in d.steps]
 
 
-def _step_json(step: RewriteStep) -> dict:
+def _step_json(step: RewriteStep, show=print_term) -> dict:
     return {
-        "source": print_term(step.source),
+        "source": show(step.source),
         "position": str(step.label.position),
         "rule": step.label.rule_label,
-        "subst": {n: print_term(t) for n, t in step.label.subst.items()},
-        "target": print_term(step.target),
+        "subst": {n: show(t) for n, t in step.label.subst.items()},
+        "target": show(step.target),
     }
 
 
@@ -176,6 +178,11 @@ class IntensionalStrategy:
 
     def sorted_choice(self, tr: TracedObject) -> list[StepLabel]:
         return sorted(self.choose(tr), key=_label_key)
+
+    def _steps(self, tr: TracedObject) -> list[RewriteStep]:
+        """The steps allowed at `tr`, fired in `sorted_choice` order; each
+        chosen label is replayed, and so checked, through `apply_step`."""
+        return [apply_step(tr.current, lab, self.rules) for lab in self.sorted_choice(tr)]
 
 
 class AbstractStrategy(ABC):
@@ -250,9 +257,8 @@ class Extension(AbstractStrategy):
             out = shared.get(tr.current)
             if out is None:
                 out = []
-                for lab in zeta.sorted_choice(tr):
-                    step = apply_step(tr.current, lab, zeta.rules)
-                    trace = () if zeta.memoryless else tr.trace + ((tr.current, lab),)
+                for step in zeta._steps(tr):
+                    trace = () if zeta.memoryless else tr.trace + ((tr.current, step.label),)
                     out.append((view(step) if view else step, TracedObject(trace, step.target)))
                 if view:
                     out.sort(key=itemgetter(0))
@@ -286,7 +292,7 @@ def memoryless(f: Callable[[Term], frozenset], rs: RuleSet) -> IntensionalStrate
 
 def all_steps(rs: RuleSet) -> IntensionalStrategy:
     """The universal strategy: every redex is allowed at every point."""
-    return memoryless(lambda t: frozenset(all_redexes(t, rs)), rs)
+    return _Builtin.make(rs, lambda t: sorted(_redexes(t, rs), key=_redex_key))
 
 
 def innermost(rs: RuleSet) -> IntensionalStrategy:
@@ -298,8 +304,8 @@ def innermost(rs: RuleSet) -> IntensionalStrategy:
     is a single redex, `normal_forms_under` runs it as rightmost-innermost
     in one pass.
     """
-    return _Innermost(
-        lambda tr: frozenset(_redexes(tr.current, rs, innermost=True)), True, rs, single=True
+    return _Builtin.make(
+        rs, lambda t: sorted(_redexes(t, rs, innermost=True), key=_redex_key), single=True
     )
 
 
@@ -312,22 +318,45 @@ def rightmost_innermost(rs: RuleSet) -> IntensionalStrategy:
     runs right to left, so the first redex it meets is that one, and the
     walk stops there.
     """
+    return _Builtin.make(
+        rs, lambda t: list(islice(_redexes(t, rs, innermost=True, backward=True), 1)), single=False
+    )
 
-    def choose(t: Term) -> frozenset:
-        first = next(_redexes(t, rs, innermost=True, backward=True), None)
-        return frozenset() if first is None else frozenset((first,))
 
-    return _Innermost(lambda tr: choose(tr.current), True, rs)
+def _redex_key(redex: tuple):
+    # The `_label_key` of the redex's label: one rule matches once at a path.
+    return redex[0], redex[1].label
 
 
 @dataclass(frozen=True, eq=False)
-class _Innermost(IntensionalStrategy):
-    """The strategies `innermost` and `rightmost_innermost` return, which
-    `normal_forms_under` may run in one bottom-up pass instead of step by
-    step.  `single` marks `innermost`, whose pass must also check that each
-    step it fires is the only one the strategy allows there."""
+class _Builtin(IntensionalStrategy):
+    """The strategies `all_steps`, `innermost` and `rightmost_innermost`
+    return.  `find(t)` lists the redexes `(path, rule, bindings)` allowed
+    at `t` in `sorted_choice` order; `choose` labels them, and `_steps`
+    fires them with the bindings their match found, with no second match.
 
-    single: bool = False
+    `normal_forms_under` runs the last two in one bottom-up pass instead of
+    step by step; `single` is None for `all_steps`, and True for
+    `innermost`, whose pass must also check that each step it fires is the
+    only one the strategy allows there.
+    """
+
+    find: Callable[[Term], list] = None
+    single: bool | None = None
+
+    @classmethod
+    def make(cls, rs: RuleSet, find, single=None) -> _Builtin:
+        def choose(tr: TracedObject) -> frozenset:
+            return frozenset(_label(*redex) for redex in find(tr.current))
+
+        return cls(choose, True, rs, find, single)
+
+    def _steps(self, tr: TracedObject) -> list[RewriteStep]:
+        t = tr.current
+        return [
+            _fire(t, Position._unchecked(path), rule, bindings)
+            for path, rule, bindings in self.find(t)
+        ]
 
 
 def bounded(k: int, base: IntensionalStrategy) -> IntensionalStrategy:
@@ -364,8 +393,10 @@ def normal_forms_under(zeta: IntensionalStrategy, a: Term, fuel: int) -> set:
     Breadth-first over traced objects; each fired step costs one unit of
     fuel, and running out with work left raises FuelExhausted.  Memoryless
     strategies are deduplicated on the current term, so a cycle closes
-    with no normal form.  Each step re-walks the current term for the
-    strategy's choices and rebuilds the path to the rewritten position.
+    with no normal form, and carry no trace.  Each state re-walks its term
+    for the strategy's steps (`_steps`: the built-in strategies fire the
+    redexes the walk found, any other strategy's labels are replayed
+    through `apply_step`) and rebuilds the path to each rewritten position.
 
     A strategy made by `rightmost_innermost` runs one bottom-up pass first,
     which visits each node of `a` once and then only the nodes its rewrites
@@ -382,7 +413,7 @@ def normal_forms_under(zeta: IntensionalStrategy, a: Term, fuel: int) -> set:
     where `innermost` allows two or more steps the pass returns None, and
     the search runs from the start.
     """
-    if isinstance(zeta, _Innermost):
+    if isinstance(zeta, _Builtin) and zeta.single is not None:
         forms = _normalize_rightmost_innermost(a, zeta.rules, fuel, zeta.single)
         if forms is not None:
             return forms
@@ -392,16 +423,18 @@ def normal_forms_under(zeta: IntensionalStrategy, a: Term, fuel: int) -> set:
     seen = {a} if zeta.memoryless else None
     while frontier:
         tr = frontier.popleft()
-        choices = zeta.sorted_choice(tr)
-        if not choices:
+        steps = zeta._steps(tr)
+        if not steps:
             normals.add(tr.current)
             continue
-        for label in choices:
+        for step in steps:
             spend()
-            nxt = tr.step(label, zeta.rules)
             if seen is not None:
-                if nxt.current in seen:
+                if step.target in seen:
                     continue
-                seen.add(nxt.current)
-            frontier.append(nxt)
+                seen.add(step.target)
+                trace = ()  # the strategy ignores it
+            else:
+                trace = tr.trace + ((tr.current, step.label),)
+            frontier.append(TracedObject(trace, step.target))
     return normals

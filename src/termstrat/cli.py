@@ -129,10 +129,21 @@ def cmd_derive(ns, th: Theory) -> int:
     if ns.depth < 0:
         raise ParseError("--depth must be nonnegative")
     zeta = _INTENSIONAL[ns.intensional](th.rules)
+    texts: dict[int, tuple] = {}  # id -> (term, its text); holding the term keeps its id unique
+
+    def show(t) -> str:
+        hit = texts.get(id(t))
+        if hit is None:
+            hit = texts[id(t)] = (t, print_term(t))
+        return hit[1]
+
+    def view(step):
+        return _json_view(step, show) if ns.json else _step_text(step, show)
+
     # Walk order is sorted order: texts of siblings differ before either ends.
-    path = ["" if ns.json else print_term(term)]  # path[n]: the last output of length n
+    path = ["" if ns.json else show(term)]  # path[n]: the last output of length n
     lines = path[:]
-    for n, v in Extension(zeta)._walk(term, ns.depth, _json_view if ns.json else _step_text):
+    for n, v in Extension(zeta)._walk(term, ns.depth, view):
         path[n:] = [path[n - 1] + (v[1] if ns.json else v)]
         lines.append(path[-1])
     if ns.json:
@@ -143,10 +154,10 @@ def cmd_derive(ns, th: Theory) -> int:
     return 0
 
 
-def _json_view(step) -> tuple[str, str]:
+def _json_view(step, show) -> tuple[str, str]:
     """A step's text, and its JSON object as `derive --json` prints it after another."""
-    obj = json.dumps(_step_json(step), indent=2).replace("\n", "\n    ")  # two levels down
-    return _step_text(step), ",\n    " + obj
+    obj = json.dumps(_step_json(step, show), indent=2).replace("\n", "\n    ")  # two levels down
+    return _step_text(step, show), ",\n    " + obj
 
 
 def cmd_check_proof(ns, th: Theory) -> int:

@@ -39,12 +39,11 @@ from .terms import (
     App,
     Position,
     Signature,
-    Substitution,
     Symbol,
     Term,
     TreeNode,
     Var,
-    apply_subst,
+    _instantiate,
     print_term,
     print_tree,
     subterm_at,
@@ -179,8 +178,8 @@ def infer(pi: ProofTerm, rs: RuleSet) -> Sequent:
                 done[n:] = [Sequent(App(node.symbol, sources), App(node.symbol, targets))]
             else:
                 rule = rs.lookup(node.rule_label)
-                src = apply_subst(Substitution.of(dict(zip(rule.params, sources))), rule.lhs)
-                tgt = apply_subst(Substitution.of(dict(zip(rule.params, targets))), rule.rhs)
+                src = _instantiate(dict(zip(rule.params, sources)), rule.lhs)
+                tgt = _instantiate(dict(zip(rule.params, targets)), rule.rhs)
                 done[n:] = [Sequent(src, tgt)]
     return done[0]
 

@@ -21,8 +21,8 @@ from .terms import (
     Term,
     TreeNode,
     Var,
-    apply_subst,
-    match,
+    _instantiate,
+    _match,
     parse_term_tokens,
     print_term,
     replace_at,
@@ -127,19 +127,24 @@ class RewriteStep(TreeNode):
         return print_term(self.source) + _step_text(self)
 
 
-def _step_text(step: RewriteStep) -> str:
-    """What one step adds to its derivation's line."""
-    return f" -[{step.label.position},{step.label.rule_label}]-> {print_term(step.target)}"
+def _step_text(step: RewriteStep, show=print_term) -> str:
+    """What one step adds to its derivation's line; `show` prints a term."""
+    return f" -[{step.label.position},{step.label.rule_label}]-> {show(step.target)}"
 
 
 def rewrite_at(t: Term, rule: Rule, p: Position) -> RewriteStep | None:
     """Apply `rule` at position `p` of `t`, or None when the lhs does not match."""
-    sub = subterm_at(t, p)
-    sigma = match(rule.lhs, sub)
-    if sigma is None:
-        return None
-    target = replace_at(t, p, apply_subst(sigma, rule.rhs))
-    return RewriteStep(t, StepLabel(p, rule.label, sigma), target)
+    bindings = _match(rule.lhs, subterm_at(t, p))
+    return None if bindings is None else _fire(t, p, rule, bindings)
+
+
+def _fire(t: Term, p: Position, rule: Rule, bindings: dict, label=None) -> RewriteStep:
+    """The step that fires `rule` at `p` in `t` with the bindings its match
+    found; `label`, when given, is the equal label to record."""
+    target = replace_at(t, p, _instantiate(bindings, rule.rhs))
+    if label is None:
+        label = StepLabel(p, rule.label, Substitution.of(bindings))
+    return RewriteStep(t, label, target)
 
 
 def all_redexes(t: Term, rs: RuleSet) -> list[StepLabel]:
@@ -147,19 +152,26 @@ def all_redexes(t: Term, rs: RuleSet) -> list[StepLabel]:
 
     Ordered by position (lexicographic), then by rule declaration order.
     """
-    return list(_redexes(t, rs))
+    return [_label(*redex) for redex in _redexes(t, rs)]
+
+
+def _label(path: tuple, rule: Rule, bindings: dict) -> StepLabel:
+    """The label of a redex `_redexes` yields."""
+    return StepLabel(Position._unchecked(path), rule.label, Substitution.of(bindings))
 
 
 def _redexes(t: Term, rs: RuleSet, innermost: bool = False, backward: bool = False):
-    """Yield the redexes of `t` from one depth-first walk.
+    """Yield `(path, rule, bindings)` for the redexes of `t`, from one
+    depth-first walk: the path is a tuple of child indices, and the
+    bindings are the plain dict the match found, ready for `_fire`.
 
     By default every redex, in preorder (lexicographic positions).  With
     `innermost`, the walk is postorder and yields only redexes with no
     redex strictly below them: a node is matched only when none of its
     subterms held one.  `backward` visits children right to left.  At
     each node the rules indexed under its head are tried in declaration
-    order.  The walk keeps one mutable path and builds a `Position` only
-    for a redex it yields; it is lazy, so a caller can stop at the first.
+    order.  The walk keeps one mutable path and copies it only for a
+    redex it yields; it is lazy, so a caller can stop at the first.
     """
     by_head = rs._by_head
     path: list[int] = []
@@ -191,10 +203,10 @@ def _redexes(t: Term, rs: RuleSet, innermost: bool = False, backward: bool = Fal
                 match_here = leaving = True  # a leaf is left as soon as entered
         if match_here and isinstance(node, App):
             for rule in by_head.get(node.symbol.name, ()):
-                sigma = match(rule.lhs, node)
-                if sigma is not None:
+                bindings = _match(rule.lhs, node)
+                if bindings is not None:
                     found = True
-                    yield StepLabel(Position._unchecked(tuple(path)), rule.label, sigma)
+                    yield tuple(path), rule, bindings
         if leaving:
             if found:
                 below[-1] = True
@@ -209,11 +221,14 @@ def _normalize_rightmost_innermost(t: Term, rs: RuleSet, fuel: int, single=False
     or raises FuelExhausted with `_out_of_fuel(t)`, or returns None when the
     search must decide.  A node's children are normalized right to left, then
     the rules indexed under its head are tried in declaration order; a rewrite
-    puts the instantiated right-hand side back on the stack to be normalized
-    in its place.  This fires exactly the steps that repeating
-    `_redexes(innermost=True, backward=True)` from the root would fire.
-    Nodes known to be normal are remembered by identity, so the bound
-    subterms a right-hand side copies are never walked again; a node is
+    puts the right-hand side back on the stack, with the bindings its match
+    found, to be normalized in its place.  This fires exactly the steps that
+    repeating `_redexes(innermost=True, backward=True)` from the root would
+    fire.  The right-hand side is instantiated as it is walked: a variable
+    stands for its bound subterm, which is normal, since every proper
+    subterm of an innermost redex is, and each other node is built once,
+    from its normalized children.  Nodes known to be normal are remembered
+    by identity, so no subterm is walked twice; a node of the input is
     rebuilt only when one of its children changed.
 
     While a position is being normalized nothing outside it changes, so a
@@ -242,9 +257,10 @@ def _normalize_rightmost_innermost(t: Term, rs: RuleSet, fuel: int, single=False
     budget = 2 * max(fuel, 0)
     normal: dict[int, Term] = {}  # id -> node; holding the node keeps its id unique
     done: list[Term] = []  # normal forms of finished subterms, right to left
-    # Subterms to normalize: a bare term, or `[term, seen]` for a term that
-    # replaced a redex, `seen` mapping each redex at that position to the
-    # step it was first seen at; `(node, seen)` sits under `node`'s children.
+    # Subterms to normalize: a bare term, or `[pattern, seen, bindings]` for
+    # the instance of part of a right-hand side; `seen` maps each redex at
+    # the position of a rewritten one to the step it was first seen at, and
+    # is None elsewhere.  `(node, seen)` sits under `node`'s children.
     stack: list = [t]
     steps = 0
     checked = 0  # with `single`: no redex waits in stack[:checked]
@@ -265,7 +281,17 @@ def _normalize_rightmost_innermost(t: Term, rs: RuleSet, fuel: int, single=False
                 if any(map(is_not, kids, node.args)):
                     node = App(node.symbol, tuple(kids))
         else:
-            node, seen = item if kind is list else (item, None)
+            if kind is list:
+                node, seen, bindings = item
+                if type(node) is Var:
+                    done.append(bindings.get(node.name, node))  # a subterm of the redex: normal
+                    continue
+                if node.args:  # never looked up in `normal`: it stands for its instance
+                    stack.append((node, seen))
+                    stack += [[arg, None, bindings] for arg in node.args]
+                    continue
+            else:
+                node, seen = item, None
             if id(node) in normal or type(node) is Var:
                 done.append(node)
                 continue
@@ -275,12 +301,17 @@ def _normalize_rightmost_innermost(t: Term, rs: RuleSet, fuel: int, single=False
                 continue
         rules = by_head.get(node.symbol.name, ())
         for rule in rules:
-            sigma = match(rule.lhs, node)
-            if sigma is not None:
+            bindings = _match(rule.lhs, node)
+            if bindings is not None:
                 if single:
                     later = rules[rules.index(rule) + 1 :]
-                    if any(match(r.lhs, node) is not None for r in later):
+                    if any(_match(r.lhs, node) is not None for r in later):
                         return None
+                    # A waiting part of a right-hand side, at no position seen
+                    # yet, is built here, so that the memo covers its nodes.
+                    stack[checked:] = [
+                        _instantiate(w[2], w[0]) if type(w) is list else w for w in stack[checked:]
+                    ]
                     waiting = [w for w in stack[checked:] if type(w) is not tuple]
                     if not _all_normal(waiting, by_head, normal):
                         return None
@@ -294,7 +325,7 @@ def _normalize_rightmost_innermost(t: Term, rs: RuleSet, fuel: int, single=False
                     if fuel < first:
                         raise FuelExhausted(_out_of_fuel(t))
                     return set() if steps - 1 <= fuel else None
-                stack.append([apply_subst(sigma, rule.rhs), seen])
+                stack.append([rule.rhs, seen, bindings])
                 break
         else:
             normal[id(node)] = node
@@ -318,7 +349,7 @@ def _all_normal(terms: list, by_head: dict, normal: dict) -> bool:
         if type(node) is Var or id(node) in normal:
             continue
         for rule in by_head.get(node.symbol.name, ()):
-            if match(rule.lhs, node) is not None:
+            if _match(rule.lhs, node) is not None:
                 return False
         normal[id(node)] = node
         terms += node.args
@@ -326,24 +357,27 @@ def _all_normal(terms: list, by_head: dict, normal: dict) -> bool:
 
 
 def apply_step(t: Term, label: StepLabel, rs: RuleSet) -> RewriteStep:
-    """Replay a recorded step on `t`; the recorded bindings must agree exactly."""
+    """Replay a recorded step on `t`; the recorded bindings must agree exactly.
+
+    The step returned carries `label` itself."""
     rule = rs.lookup(label.rule_label)
     try:
-        step = rewrite_at(t, rule, label.position)
+        bindings = _match(rule.lhs, subterm_at(t, label.position))
     except Exception as e:
         raise StepMismatch(f"cannot replay {label} on {print_term(t)}: {e}") from e
-    if step is None:
+    if bindings is None:
         raise StepMismatch(
             f"rule {label.rule_label} does not match "
             f"{print_term(subterm_at(t, label.position))} "
             f"at {label.position} in {print_term(t)}"
         )
-    if step.label.subst != label.subst:
+    found = Substitution.of(bindings)
+    if found != label.subst:
         raise StepMismatch(
-            f"recorded bindings {label.subst} disagree with match {step.label.subst} "
+            f"recorded bindings {label.subst} disagree with match {found} "
             f"for {label.rule_label} at {label.position} in {print_term(t)}"
         )
-    return step
+    return _fire(t, label.position, rule, bindings, label)
 
 
 def parse_rule_line(lexer: Lexer, sig: Signature, i: int) -> tuple[Rule, int]:

@@ -34,8 +34,8 @@ from .terms import (
     Signature,
     Term,
     TreeNode,
-    apply_subst,
-    match,
+    _instantiate,
+    _match,
     parse_term_tokens,
     print_tree,
     tree_node,
@@ -177,8 +177,8 @@ def eval_strategy(
         kind = type(s)
         if kind is RuleRef:
             rule = rs.lookup(s.label)
-            sigma = match(rule.lhs, t)
-            r = STK if sigma is None else Value(apply_subst(sigma, rule.rhs))
+            bindings = _match(rule.lhs, t)
+            r = STK if bindings is None else Value(_instantiate(bindings, rule.rhs))
         elif kind in _FIRST_OPERAND:
             if kind is Try and stack and type(stack[-1][0]) is Try:
                 stack.pop()  # the try below could only ever pass a value on
@@ -238,7 +238,7 @@ def check_invariant(g: Term, t: Term) -> bool:
     stack = [t]
     while stack:
         sub = stack.pop()
-        if match(g, sub) is not None:
+        if _match(g, sub) is not None:
             return True
         if type(sub) is App:
             stack += reversed(sub.args)

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import starmap, zip_longest
+from operator import eq
 
 from .errors import ArityError, InvalidPosition, UnknownSymbol
 from .lex import Lexer, application, parse_tree
@@ -95,7 +97,9 @@ class TreeNode:
     term inside another node is one value with its own `==` and hash; `repr`
     has its own stack.  So the depth of a tree or term is not bounded by the
     recursion limit.  A node's hash is computed on first use and kept in the
-    instance: building a node costs what the dataclass does.
+    instance: building a node costs what the dataclass does.  `==` compares
+    two cached hashes first, then the two flattenings item by item as they
+    are produced, so it stops at the first difference.
     """
 
     __slots__ = ()
@@ -105,7 +109,12 @@ class TreeNode:
             return True
         if type(other) is not type(self):
             return NotImplemented
-        return _flatten(self) == _flatten(other)
+        h, k = getattr(self, "_hash", None), getattr(other, "_hash", None)
+        if h is not None and k is not None and h != k:
+            return False
+        # Compared as the two walks go, so the first difference ends both;
+        # `self` pads the shorter one, as no item is the root itself.
+        return all(starmap(eq, zip_longest(_flat(self), _flat(other), fillvalue=self)))
 
     def __hash__(self) -> int:
         try:
@@ -159,13 +168,17 @@ def _flatten(node: TreeNode) -> tuple:
     that is not an `App`, a term is one value.  Two trees are equal exactly
     when their lists are.
     """
-    flat = []
+    return tuple(_flat(node))
+
+
+def _flat(node: TreeNode):
+    """Yield the items of `_flatten(node)` one by one."""
     stack: list = [node]
     whole = type(node) is not App
     while stack:
         item = stack.pop()
         if not isinstance(item, TreeNode) or whole and type(item) is App:
-            flat.append(item)
+            yield item
             continue
         kind = type(item)
         todo = []
@@ -174,7 +187,6 @@ def _flatten(node: TreeNode) -> tuple:
             todo += (*v, (_tuple, len(v))) if type(v) is tuple else (v,)
         todo.append((kind, len(kind.__match_args__)))
         stack += reversed(todo)
-    return tuple(flat)
 
 
 def _rebuild(flat: tuple) -> TreeNode:
@@ -329,8 +341,11 @@ class Substitution:
         object.__setattr__(self, "pairs", pairs)
 
     @classmethod
-    def of(cls, mapping) -> Substitution:
-        return cls(tuple(mapping.items()))
+    def of(cls, mapping: dict) -> Substitution:
+        """The substitution of a dict, whose keys are unique: only sorted."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "pairs", tuple(sorted(mapping.items())))
+        return sub
 
     def get(self, name: str) -> Term | None:
         for n, t in self.pairs:
@@ -411,6 +426,12 @@ def match(pattern: Term, subject: Term) -> Substitution | None:
     are treated as constants; repeated pattern variables must map to
     identical subterms.
     """
+    bindings = _match(pattern, subject)
+    return None if bindings is None else Substitution.of(bindings)
+
+
+def _match(pattern: Term, subject: Term) -> dict | None:
+    """The bindings `match` finds, as a plain dict of names to terms, or None."""
     bindings: dict[str, Term] = {}
     stack = [(pattern, subject)]
     while stack:
@@ -425,11 +446,16 @@ def match(pattern: Term, subject: Term) -> Substitution | None:
             if not isinstance(s, App) or (s.symbol is not p.symbol and s.symbol != p.symbol):
                 return None
             stack.extend(zip(p.args, s.args))
-    return Substitution.of(bindings)
+    return bindings
 
 
 def apply_subst(subst: Substitution, t: Term) -> Term:
-    """Simultaneously replace every bound variable; unbound ones stay as-is.
+    """Simultaneously replace every bound variable; unbound ones stay as-is."""
+    return _instantiate(dict(subst.pairs), t)
+
+
+def _instantiate(bindings: dict, t: Term) -> Term:
+    """`apply_subst` for the bindings as a plain dict of names to terms.
 
     A post-order walk on an explicit stack, so the depth of `t` is not
     bounded by the interpreter's recursion limit.
@@ -446,8 +472,7 @@ def apply_subst(subst: Substitution, t: Term) -> Term:
             n = len(done) - node.arity
             done[n:] = [App(node, tuple(done[n:]))]
         elif type(node) is Var:
-            bound = subst.get(node.name)
-            done.append(node if bound is None else bound)
+            done.append(bindings.get(node.name, node))
         elif node.args:
             stack += (node.symbol, *reversed(node.args))
         else:

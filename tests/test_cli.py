@@ -353,9 +353,9 @@ class TestDeriveOutput:
         calls = [0]
         real = termstrat.cli._step_text
 
-        def counted(step):
+        def counted(step, *show):
             calls[0] += 1
-            return real(step)
+            return real(step, *show)
 
         monkeypatch.setattr(termstrat.cli, "_step_text", counted)
         argv = ["derive", "--file", str(REPO / "docs" / "peano.trs"), "--term", PEANO_10]

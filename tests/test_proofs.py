@@ -43,6 +43,7 @@ from termstrat import (
     rewrite_at,
     to_derivation,
 )
+import termstrat.terms
 from termstrat.terms import _flatten
 from gen import (
     brute_derivations,
@@ -433,6 +434,30 @@ class TestNodeMethods:
         check_deep_node(
             lambda s: parse_proof(s, FLIP.rules, FLIP.signature), print_proof, text, other, shown
         )
+
+    def test_unequal_chains_stop_at_the_first_difference(self, monkeypatch):
+        # Two DEEP-operand chains that differ in their first operand: `==`
+        # stops at the first item of each walk, and once both hashes are
+        # cached it walks neither.
+        def chain(first):
+            return parse_proof(" ; ".join([first, *CHAIN[1:]]), FLIP.rules, FLIP.signature)
+
+        a, b = chain("p"), chain("q")
+        assert len(_flatten(a)) == 4 * DEEP - 1
+        items = [0]
+        real = termstrat.terms._flat
+
+        def counted(node):
+            for item in real(node):
+                items[0] += 1
+                yield item
+
+        monkeypatch.setattr(termstrat.terms, "_flat", counted)
+        assert a != b and not a == b
+        assert 0 < items[0] <= 4
+        assert hash(a) != hash(b)
+        items[0] = 0
+        assert a != b and not a == b and items[0] == 0
 
     def test_a_term_is_one_item(self, rex):
         # Below a proof node a term is not spread out: `==` and hash use its
