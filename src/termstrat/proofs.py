@@ -127,6 +127,10 @@ class Sequent:
         return f"[{print_term(self.source)}] -> [{print_term(self.target)}]"
 
 
+# Pushed under the two operands of a `Trans` in `infer`'s walk: join their pairs.
+_JOIN = object()
+
+
 def infer(pi: ProofTerm, rs: RuleSet) -> Sequent:
     """The unique sequent `pi` proves, by structural rules.
 
@@ -138,50 +142,73 @@ def infer(pi: ProofTerm, rs: RuleSet) -> Sequent:
 
     One post-order walk on an explicit stack, operands left to right, so
     depth is not bounded by the recursion limit and the first error wins.
+    The walk keeps plain (source, target) pairs and builds one `Sequent`
+    at the end.  A replacement without arguments is looked up once per
+    label, and equal rule sides are shared for the call, so on a chain of
+    such replacements the middle terms compare by identity.  A proof that
+    shares a node in several places (as `parse_proof`'s leaves do) is
+    checked once per place it occurs.
     """
-    done: list = []  # sequents of the finished subproofs, in post-order
-    # Subproofs to visit; under the operands of a node lies `(node,)`,
-    # which combines their sequents once they are done.
+    done: list = []  # (source, target) of the finished subproofs, in post-order
+    leaves: dict = {}  # label -> the pair of an argument-free replacement
+    canon: dict = {}  # rule side -> the equal side shared for this call
+    # Subproofs to visit; under the operands of a node lies what combines
+    # their pairs once they are done: `_JOIN` for a chain, `(symbol,)` for a
+    # congruence and `(rule,)` for a replacement.
     stack: list = [pi]
     while stack:
         node = stack.pop()
         kind = type(node)
-        if kind is Embed:
-            done.append(Sequent(node.term, node.term))
-        elif kind is Trans:
-            stack += ((node,), node.second, node.first)
-        elif kind is Cong or kind is Repl:
-            if kind is Repl:
-                rule = rs.lookup(node.rule_label)
-                if len(node.args) != len(rule.params):
-                    raise ArityError(
-                        f"rule {node.rule_label} has {len(rule.params)} parameter(s), "
-                        f"got {len(node.args)} argument(s)"
-                    )
-                if not node.args:
-                    done.append(Sequent(rule.lhs, rule.rhs))
+        if kind is Repl:
+            args = node.args
+            if not args:
+                pair = leaves.get(node.rule_label)
+                if pair is not None:
+                    done.append(pair)
                     continue
-            stack += ((node,), *reversed(node.args))
+            rule = rs.lookup(node.rule_label)
+            if len(args) != len(rule.params):
+                raise ArityError(
+                    f"rule {node.rule_label} has {len(rule.params)} parameter(s), "
+                    f"got {len(args)} argument(s)"
+                )
+            if args:
+                stack.append((rule,))
+                stack += reversed(args)
+            else:
+                pair = canon.setdefault(rule.lhs, rule.lhs), canon.setdefault(rule.rhs, rule.rhs)
+                done.append(pair)
+                leaves[node.rule_label] = pair
+        elif node is _JOIN:
+            (source, left), (right, target) = done[-2:]
+            if left is not right and left != right:
+                raise ComposeError(left, right)
+            done[-2:] = [(source, target)]
+        elif kind is Trans:
+            stack += (_JOIN, node.second, node.first)
+        elif kind is Embed:
+            done.append((node.term, node.term))
+        elif kind is Cong:
+            stack.append((node.symbol,))
+            stack += reversed(node.args)
         elif kind is not tuple:
             raise TypeError(f"not a proof term: {node!r}")
-        elif type(node[0]) is Trans:
-            left, right = done[-2:]
-            if left.target != right.source:
-                raise ComposeError(left.target, right.source)
-            done[-2:] = [Sequent(left.source, right.target)]
         else:
-            node = node[0]
-            n = len(done) - len(node.args)
-            sources = tuple(s.source for s in done[n:])
-            targets = tuple(s.target for s in done[n:])
-            if type(node) is Cong:
-                done[n:] = [Sequent(App(node.symbol, sources), App(node.symbol, targets))]
+            head = node[0]
+            if type(head) is Symbol:
+                n = len(done) - head.arity
+                sources, targets = zip(*done[n:])
+                done[n:] = [(App(head, sources), App(head, targets))]
             else:
-                rule = rs.lookup(node.rule_label)
-                src = _instantiate(dict(zip(rule.params, sources)), rule.lhs)
-                tgt = _instantiate(dict(zip(rule.params, targets)), rule.rhs)
-                done[n:] = [Sequent(src, tgt)]
-    return done[0]
+                n = len(done) - len(head.params)
+                sources, targets = zip(*done[n:])
+                done[n:] = [
+                    (
+                        _instantiate(dict(zip(head.params, sources)), head.lhs),
+                        _instantiate(dict(zip(head.params, targets)), head.rhs),
+                    )
+                ]
+    return Sequent(*done[0])
 
 
 def check(pi: ProofTerm, t: Term, t2: Term, rs: RuleSet) -> bool:
@@ -226,14 +253,16 @@ def to_derivation(pi: ProofTerm, rs: RuleSet) -> Derivation:
     Parallel rewrites are serialized left to right: congruence arguments in
     order, and for a replacement the argument rewrites fire first (at every
     occurrence of the matching parameter), then the rule itself at the top.
-    The result replays to the same sequent the proof infers.
+    The result replays to the same sequent the proof infers.  `infer`
+    checks the proof first, so each step fires at a position whose path is
+    not checked again.
     """
     source = t = infer(pi, rs).source
     steps = []
     for path, rule in _firings(pi, rs):
         # `infer` accepted `pi`, so every listed rule matches where it fires,
         # and each step starts at the last one's target: they chain.
-        step = rewrite_at(t, rule, Position(path))
+        step = rewrite_at(t, rule, Position._unchecked(path))
         steps.append(step)
         t = step.target
     return Derivation._unchecked(source, tuple(steps))
@@ -243,25 +272,47 @@ def _firings(pi: ProofTerm, rs: RuleSet):
     """Yield the (absolute path, rule) pairs `to_derivation` fires, in order.
 
     The walk keeps its own stack, as `infer` does, so the depth of `pi` is
-    not bounded by the recursion limit.
+    not bounded by the recursion limit.  Each rule's parameter occurrences
+    are found once per call: a replacement pushes each argument once per
+    occurrence of its parameter in the left-hand side, under the rule.
     """
+    # label -> the rule, and the (argument index, occurrence path) pairs of
+    # its replacements in the order they are pushed
+    plans: dict = {}
     stack: list = [(pi, ())]
     while stack:
         node, path = stack.pop()
-        match node:
-            case Rule():
-                yield path, node
-            case Trans(first=a, second=b):
-                stack += [(b, path), (a, path)]
-            case Cong(args=args):
-                for i in range(len(args), 0, -1):
-                    stack.append((args[i - 1], path + (i,)))
-            case Repl(rule_label=label, args=args):
-                rule = rs.lookup(label)
-                stack.append((rule, path))
-                for x, a in reversed(list(zip(rule.params, args))):
-                    occs = [p.path for p, s in subterms(rule.lhs) if s == Var(x)]
-                    stack += [(a, path + occ) for occ in reversed(occs)]
+        kind = type(node)
+        if kind is Rule:
+            yield path, node
+        elif kind is Trans:
+            stack += ((node.second, path), (node.first, path))
+        elif kind is Cong:
+            args = node.args
+            for i in range(len(args), 0, -1):
+                stack.append((args[i - 1], path + (i,)))
+        elif kind is Repl:
+            plan = plans.get(node.rule_label)
+            if plan is None:
+                plan = plans[node.rule_label] = _plan(rs.lookup(node.rule_label))
+            rule, pushes = plan
+            stack.append((rule, path))
+            args = node.args
+            stack += [(args[k], path + occ) for k, occ in pushes]
+
+
+def _plan(rule: Rule) -> tuple:
+    """`rule`, and where `_firings` pushes a replacement's arguments: one
+    (argument index, path) pair per parameter occurrence in the left-hand
+    side, last parameter and last occurrence first."""
+    occs: dict = {x: [] for x in rule.params}
+    for pos, sub in subterms(rule.lhs):
+        if type(sub) is Var and sub.name in occs:
+            occs[sub.name].append(pos.path)
+    pushes = [
+        (k, occ) for k in reversed(range(len(rule.params))) for occ in reversed(occs[rule.params[k]])
+    ]
+    return rule, pushes
 
 
 def apply_proof_set(proofs, t: Term, rs: RuleSet) -> set:
@@ -281,10 +332,18 @@ def apply_proof_set(proofs, t: Term, rs: RuleSet) -> set:
 
 
 def parse_proof(text: str, rs: RuleSet, sig: Signature) -> ProofTerm:
+    """The proof term `text` spells, checked against `rs` and `sig`.
+
+    A replacement without arguments (`p` or `p()`) is built once per label
+    and shared wherever it occurs, after its arity is checked at each head,
+    so a parsed proof may share leaves; `==`, hashing, printing, pickling
+    and copying treat it as the tree it spells.
+    """
     lexer = Lexer(text)
     tokens = lexer.tokens
     rules = rs._by_label
     symbols = sig._by_name
+    leaves: dict = {}  # label -> the one argument-free replacement of this parse
 
     def build(head: int, args: list | None) -> ProofTerm:
         # None for `args` means no parentheses followed the head.
@@ -292,7 +351,12 @@ def parse_proof(text: str, rs: RuleSet, sig: Signature) -> ProofTerm:
         rule = rules.get(name)
         if rule is not None:
             lexer.check_arity(head, len(rule.params), args)
-            return Repl(name, tuple(args or ()))
+            if args:
+                return Repl(name, tuple(args))
+            leaf = leaves.get(name)
+            if leaf is None:
+                leaf = leaves[name] = Repl(name)
+            return leaf
         sym = symbols.get(name)
         if sym is not None:
             lexer.check_arity(head, sym.arity, args)
@@ -306,6 +370,9 @@ def parse_proof(text: str, rs: RuleSet, sig: Signature) -> ProofTerm:
 
     def operand(i: int) -> tuple:
         name = tokens[i]
+        leaf = leaves.get(name)
+        if leaf is not None and tokens[i + 1] != "(":
+            return leaf, i + 1  # `build` checked this label: no arguments, no clash
         if name == "(":
             return (None, _join, None, None, ")", []), i + 1
         if name in rules and name in symbols:

@@ -14,6 +14,8 @@ import random
 
 from termstrat import (
     App,
+    ArityError,
+    ComposeError,
     Cong,
     Derivation,
     Embed,
@@ -36,6 +38,7 @@ from termstrat import (
     Term,
     Trans,
     Try,
+    UnknownLabel,
     Var,
     all_redexes,
     apply_step,
@@ -235,6 +238,51 @@ def naive_occurs(g: Term, t: Term) -> bool:
     return any(naive_match(g, s) is not None for s in naive_subterms(t))
 
 
+def naive_instantiate(env: dict, u: Term) -> Term:
+    """`u` with each variable bound in `env` replaced, by plain recursion."""
+    if isinstance(u, Var):
+        return env.get(u.name, u)
+    return App(u.symbol, tuple(naive_instantiate(env, a) for a in u.args))
+
+
+def reference_infer(pi: ProofTerm, rs: RuleSet) -> tuple:
+    """The (source, target) pair `pi` proves, by plain recursion over the
+    node types, as the oracle for `infer`.
+
+    Errors come in the order of a left-to-right walk: an unknown label or a
+    wrong argument count at a replacement before its arguments are looked
+    at, and a chain's `ComposeError` after both of its operands.
+    """
+    rules = {r.label: r for r in rs}
+
+    def go(p) -> tuple:
+        match p:
+            case Embed(term=t):
+                return t, t
+            case Trans(first=a, second=b):
+                source, left = go(a)
+                right, target = go(b)
+                if left != right:
+                    raise ComposeError(left, right)
+                return source, target
+            case Cong(symbol=f, args=args):
+                pairs = [go(a) for a in args]
+                return App(f, tuple(s for s, _ in pairs)), App(f, tuple(t for _, t in pairs))
+            case Repl(rule_label=label, args=args):
+                if label not in rules:
+                    raise UnknownLabel(label)
+                rule = rules[label]
+                if len(args) != len(rule.params):
+                    raise ArityError(label)
+                pairs = [go(a) for a in args]
+                sources = dict(zip(rule.params, (s for s, _ in pairs)))
+                targets = dict(zip(rule.params, (t for _, t in pairs)))
+                return naive_instantiate(sources, rule.lhs), naive_instantiate(targets, rule.rhs)
+        raise TypeError(p)
+
+    return go(pi)
+
+
 def trans_depth(pi: ProofTerm) -> int:
     match pi:
         case Trans(first=a, second=b):
@@ -262,11 +310,6 @@ def reference_eval(s: StrategyExpr, t: Term, rs: RuleSet, fuel: int):
 
     left = fuel
 
-    def instantiate(env: dict, u: Term) -> Term:
-        if isinstance(u, Var):
-            return env.get(u.name, u)
-        return App(u.symbol, tuple(instantiate(env, a) for a in u.args))
-
     def go(s: StrategyExpr, t: Term, env: dict):
         nonlocal left
         if left == 0:
@@ -280,7 +323,7 @@ def reference_eval(s: StrategyExpr, t: Term, rs: RuleSet, fuel: int):
             case RuleRef(label=label):
                 rule = rs.lookup(label)
                 env_m = naive_match(rule.lhs, t)
-                return None if env_m is None else instantiate(env_m, rule.rhs)
+                return None if env_m is None else naive_instantiate(env_m, rule.rhs)
             case Seq(s1=s1, s2=s2):
                 r = go(s1, t, env)
                 return None if r is None else go(s2, r, env)

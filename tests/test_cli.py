@@ -1,30 +1,51 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
 import shlex
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gen import random_ground_term
+from gen import (
+    brute_derivations,
+    random_ground_term,
+    random_pattern,
+    random_proof,
+    reference_infer,
+    symbols_of,
+)
 from termstrat import (
+    App,
+    Embed,
+    Repl,
+    Signature,
+    Symbol,
+    Trans,
     all_redexes,
     all_steps,
     derivation_to_json,
     extension,
+    from_derivation,
     innermost,
     load_theory,
     parse_term,
     print_derivation,
+    print_proof,
     print_term,
     rightmost_innermost,
+    variables,
 )
 import termstrat.cli
 from termstrat.cli import main
-from termstrat.errors import ArityError, UnknownLabel
+from termstrat.errors import ArityError, ComposeError, UnknownLabel
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO / "docs" / "examples"
@@ -485,3 +506,89 @@ class TestDirectEntry:
             assert (code, captured.out, captured.err) == (
                 fresh.returncode, fresh.stdout, fresh.stderr
             )
+
+
+# Symbols and labels a random theory draws from; no name is both, and no
+# name is the proof variable x or y.
+SYMBOLS = (Symbol("a", 0), Symbol("b", 0), Symbol("c", 0), Symbol("f", 1), Symbol("g", 1), Symbol("h", 2))
+LABELS = ("p", "q", "r1", "r2", "r3")
+
+
+def random_theory(rng) -> str:
+    """The text of a theory over some of SYMBOLS (a constant and a symbol
+    with arguments among them) with up to five rules."""
+    syms = [SYMBOLS[0], SYMBOLS[rng.randrange(3, 6)]]
+    syms += [s for s in SYMBOLS if s not in syms and rng.random() < 0.5]
+    sig = Signature(syms)
+    lines = ["sig " + " ".join(str(s) for s in syms)]
+    for label in rng.sample(LABELS, rng.randint(1, 5)):
+        lhs = random_pattern(rng, sig, rng.randint(1, 3))
+        while type(lhs) is not App:
+            lhs = random_pattern(rng, sig, rng.randint(1, 3))
+        params = variables(lhs)
+        rhs = (
+            random_pattern(rng, sig, rng.randint(1, 3), params)
+            if params
+            else random_ground_term(rng, sig, rng.randint(1, 2))
+        )
+        lines.append(f"rule {label} : {print_term(lhs)} => {print_term(rhs)}")
+    return "\n".join(lines) + "\n"
+
+
+def random_checkable(rng, th):
+    """A proof for `th`: a random tree, the proof of a derivation, or a `;`
+    chain of argument-free replacements and constants."""
+    rs, sig = th.rules, th.signature
+    kind = rng.choice(("tree", "derivation", "chain"))
+    if kind == "tree":
+        return random_proof(rng, rs, sig, 3)
+    if kind == "derivation":
+        start = random_ground_term(rng, sig, 3)
+        return from_derivation(rng.choice(brute_derivations(start, rs, 3)), rs)
+    leaves = [Repl(r.label) for r in rs if not r.params]
+    leaves += [Embed(App(s)) for s in symbols_of(sig) if s.arity == 0]
+    return reduce(Trans, [rng.choice(leaves) for _ in range(rng.randint(1, 8))])
+
+
+class TestCheckProofAgainstReference:
+    """`check-proof` run in process on a random theory and a printed random
+    proof, judged by `gen.reference_infer`."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_check_proof(self, data, tmp_path_factory):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        text = random_theory(rng)
+        th = load_theory(text)
+        path = tmp_path_factory.getbasetemp() / "random.trs"
+        path.write_text(text)
+        pi = random_checkable(rng, th)
+        argv = ["check-proof", "--file", str(path), "--proof", print_proof(pi)]
+        wrong = False  # whether --from or --to names another term
+        try:
+            want = reference_infer(pi, th.rules)
+        except ComposeError as error:
+            want = error
+        else:
+            for flag, end in zip(("--from", "--to"), want):
+                draw = rng.random()
+                if draw < 0.4:
+                    continue
+                term = end if draw < 0.7 else random_ground_term(rng, th.signature, 2)
+                argv += [flag, print_term(term)]
+                wrong = wrong or term != end
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in range(4)
+        assert any(line.startswith("error: ") for line in err.splitlines()) == (code in (2, 3))
+        if isinstance(want, ComposeError):
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: cannot chain: left side ends at {print_term(want.left_target)} "
+                f"but right side starts at {print_term(want.right_source)}\n"
+            )
+        else:
+            assert out == f"{print_term(want[0])} -> {print_term(want[1])}\n"
+            assert code == (1 if wrong else 0)

@@ -5,9 +5,12 @@ import pickle
 import random
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termstrat import (
     AmbiguousIdent,
@@ -23,6 +26,7 @@ from termstrat import (
     Sequent,
     StepLabel,
     Substitution,
+    TermstratError,
     Trans,
     UnknownLabel,
     UnknownSymbol,
@@ -44,13 +48,16 @@ from termstrat import (
     to_derivation,
 )
 import termstrat.terms
-from termstrat.terms import _flatten
+from termstrat.errors import ParseArityError
+from termstrat.terms import App, _flatten
 from gen import (
     brute_derivations,
     check_deep_node,
     check_node_methods,
     random_ground_term,
     random_proof,
+    reference_infer,
+    symbols_of,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -62,6 +69,15 @@ FLIP = load_theory("sig a/0 b/0 f/1 g/2\nrule p : a => b\nrule q : b => a\n")
 RIGHT_CHAIN = " ; (".join(["p", "q"] * (DEEP // 2 - 1) + ["p"]) + " ; q" + ")" * (DEEP - 2)
 # The operands of p ; q ; p ; ... ; q, which reads as a left-deep Trans.
 CHAIN = ["p", "q"] * (DEEP // 2)
+# Nullary p/q as in FLIP, a tower rule, and the nonlinear eqv and dup.
+KNOT = load_theory(
+    "sig a/0 b/0 f/1 g/2\n"
+    "rule p : a => b\nrule q : b => a\nrule u : f(x) => x\n"
+    "rule eqv : g(x,x) => x\nrule dup : f(x) => g(x,x)\n"
+)
+# Operands of a KNOT chain: the forms the parser accepts, then wrong counts.
+KNOT_OPERANDS = ("p", "q", "p()", "a", "b", "f(p)", "g(q,b)", "dup(a)", "u(f(q))", "eqv(p)")
+KNOT_WRONG = ("p(a)", "q(b)", "dup", "eqv()")
 
 
 def t(rex, text):
@@ -143,6 +159,143 @@ class TestInfer:
             seq = infer(Repl("r3", (Embed(arg),)), rex.rules)
             step = rewrite_at(seq.source, rex.rules.lookup("r3"), ROOT)
             assert step is not None and step.target == seq.target
+
+
+def agrees_with_reference(pi, rs) -> None:
+    """`infer` gives `reference_infer`'s pair, or raises the same class
+    (for `ComposeError`, with the same two terms)."""
+    try:
+        want = reference_infer(pi, rs)
+    except TermstratError as error:
+        with pytest.raises(TermstratError) as got:
+            infer(pi, rs)
+        assert type(got.value) is type(error)
+        if type(error) is ComposeError:
+            assert got.value.left_target == error.left_target
+            assert got.value.right_source == error.right_source
+        return
+    seq = infer(pi, rs)
+    assert (seq.source, seq.target) == want
+
+
+def random_dag(rng, th, steps: int):
+    """A proof built bottom-up from a pool: each new node takes its operands
+    from the pool, so one node object may sit in several places.  A
+    replacement now and then gets one argument too many or too few."""
+    rules = sorted(th.rules, key=lambda r: r.label)
+    symbols = [s for s in symbols_of(th.signature) if s.arity >= 1]
+    pool = [Repl(r.label) for r in rules if not r.params]
+    pool += [Embed(random_ground_term(rng, th.signature, 2)) for _ in range(2)]
+    for _ in range(steps):
+        kind = rng.choice(("trans", "trans", "cong", "repl"))
+        if kind == "trans":
+            node = Trans(rng.choice(pool), rng.choice(pool))
+        elif kind == "cong":
+            sym = rng.choice(symbols)
+            node = cong(sym, [rng.choice(pool) for _ in range(sym.arity)])
+        else:
+            rule = rng.choice(rules)
+            n = len(rule.params) + (rng.choice((-1, 1)) if rng.random() < 0.15 else 0)
+            node = Repl(rule.label, tuple(rng.choice(pool) for _ in range(max(n, 0))))
+        pool.append(node)
+    return pool[-1]
+
+
+def chain_operands(pi, n: int) -> list:
+    """The `n` operands of the left-nested chain `pi`, in order."""
+    ops = []
+    while len(ops) < n - 1:
+        pi, right = pi.first, pi.second
+        ops.append(right)
+    return [pi, *reversed(ops)]
+
+
+class TestAgainstReference:
+    """`infer` against `gen.reference_infer`, a plain recursive checker."""
+
+    @given(data=st.data())
+    @settings(max_examples=250, deadline=None)
+    def test_infer_agrees(self, data, rex, peano):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        kind = data.draw(st.sampled_from(("tree", "dag", "chain")))
+        if kind == "chain":
+            self.check_mixed_chain(rng)
+            return
+        th = data.draw(st.sampled_from([rex, peano, KNOT]))
+        if kind == "tree":
+            pi = random_proof(rng, th.rules, th.signature, 4)
+        else:
+            pi = random_dag(rng, th, rng.randint(1, 10))
+        agrees_with_reference(pi, th.rules)
+
+    @staticmethod
+    def check_mixed_chain(rng):
+        # A parsed chain shares its argument-free replacements; the same
+        # chain with some operands built apart must infer the same.
+        n = rng.randint(1, 12)
+        texts = [rng.choice(KNOT_OPERANDS) for _ in range(n)]
+        if rng.random() < 0.2:
+            texts[rng.randrange(n)] = rng.choice(KNOT_WRONG)
+        text = " ; ".join(texts)
+        if any(x in KNOT_WRONG for x in texts):
+            with pytest.raises(ParseArityError):
+                parse_proof(text, KNOT.rules, KNOT.signature)
+            return
+        parsed = parse_proof(text, KNOT.rules, KNOT.signature)
+        agrees_with_reference(parsed, KNOT.rules)
+        mixed = []
+        for op, x in zip(chain_operands(parsed, n), texts):
+            draw = rng.random()
+            if draw < 0.45:
+                mixed.append(op)
+            elif draw < 0.9:
+                mixed.append(parse_proof(x, KNOT.rules, KNOT.signature))
+            else:  # a replacement with one argument too many, which no parse gives
+                mixed.append(Repl(rng.choice("pq"), (Embed(t(KNOT, "a")),)))
+        agrees_with_reference(reduce(Trans, mixed), KNOT.rules)
+        k = rng.randrange(n)  # and grouped to the right from operand k
+        if k:
+            agrees_with_reference(Trans(reduce(Trans, mixed[:k]), reduce(Trans, mixed[k:])), KNOT.rules)
+
+
+class TestWorkCounts:
+    """What the checker does on a parsed DEEP-operand `p ; q` chain."""
+
+    TEXT = " ; ".join(CHAIN)
+
+    def test_parse_builds_one_replacement_per_label(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(Repl, "__post_init__", lambda self: built.append(self))
+        pi = parse_proof(self.TEXT, FLIP.rules, FLIP.signature)
+        assert [x.rule_label for x in built] == ["p", "q"]
+        assert {id(op) for op in chain_operands(pi, DEEP)} == {id(x) for x in built}
+
+    def test_infer_compares_middles_by_identity(self, monkeypatch):
+        pi = parse_proof(self.TEXT, FLIP.rules, FLIP.signature)
+        calls = [0]
+        real = App.__eq__
+
+        def counted(a, b):
+            calls[0] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(App, "__eq__", counted)
+        seq = infer(pi, FLIP.rules)
+        # One each where the second rule's sides join the first one's.
+        assert calls[0] <= 2
+        monkeypatch.undo()
+        assert seq == Sequent(t(FLIP, "a"), t(FLIP, "a"))
+
+    def test_to_derivation_builds_no_checked_position(self, monkeypatch):
+        pi = parse_proof(self.TEXT, FLIP.rules, FLIP.signature)
+        created = [0]
+
+        def counted(self):
+            created[0] += 1
+
+        monkeypatch.setattr(Position, "__post_init__", counted)
+        d = to_derivation(pi, FLIP.rules)
+        assert len(d) == DEEP and created[0] == 0
 
 
 class TestCheck:
@@ -266,11 +419,14 @@ class TestToDerivation:
             "    parse_proof, print_proof, to_derivation)\n"
             "th = load_theory('sig a/0 b/0\\nrule p : a => b\\nrule q : b => a\\n')\n"
             "pi = parse_proof(sys.stdin.read(), th.rules, th.signature)\n"
+            "assert pi.second is pi.first.first.second  # the parse shares its leaves\n"
+            "shared = print_proof(pi)\n"
             "seq = infer(pi, th.rules)\n"
             "d = to_derivation(pi, th.rules)\n"
             "back = from_derivation(d, th.rules)\n"
             "assert infer(back, th.rules) == seq\n"
             "print(len(d), seq)\n"
+            "print(shared)\n"
             "print(print_proof(back), end='')\n"
         )
         text = " ; ".join(["p", "q"] * 5000)
@@ -283,8 +439,9 @@ class TestToDerivation:
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        counts, printed = proc.stdout.split("\n", 1)
+        counts, shared, printed = proc.stdout.split("\n", 2)
         assert counts == "10000 [a] -> [a]"
+        assert shared == text
         assert printed == text
 
 
