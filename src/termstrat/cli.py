@@ -9,9 +9,11 @@ Four batch commands over a theory file:
 
 Exit codes, all chosen in `main`: 0 success / strategy value, 1 failure
 result (`stk`) or sequent mismatch, 2 fuel exhausted (`FuelExhausted`) or
-an inference error (`ComposeError`, `UnknownLabel`, `ArityError`), 3 a
-usage error or a `ParseError` (an unreadable theory file, malformed input,
-or a wrong argument count in input text).  `--help` exits 0.
+another library error, such as an inference error (`ComposeError`,
+`UnknownLabel`, `ArityError`), 3 a usage error or a `ParseError` (an
+unreadable theory file, malformed input, a name clash in the theory, or a
+wrong argument count in input text).  `--help` exits 0.  Every library
+error is printed as `error: ` followed by its own text.
 All collection output is sorted on the printed form, so identical inputs
 give byte-identical output.
 """
@@ -30,13 +32,7 @@ from .ars import (
     normal_forms_under,
     rightmost_innermost,
 )
-from .errors import (
-    ArityError,
-    ComposeError,
-    FuelExhausted,
-    ParseError,
-    UnknownLabel,
-)
+from .errors import ParseError, TermstratError
 from .proofs import infer, parse_proof
 from .rules import _step_text
 from .strategies import STK, eval_strategy, parse_strategy
@@ -192,19 +188,9 @@ def main(argv=None) -> int:
         return 3 if code == 2 else code  # argparse's usage error is 2; 2 means fuel here
     try:
         return _COMMANDS[ns.command](ns, _load(ns.file))
-    except ParseError as e:  # first: a ParseArityError is also an ArityError
+    except TermstratError as e:  # a ParseArityError is a ParseError, so it exits 3
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ComposeError as e:
-        print(
-            f"error: cannot chain: left side ends at {print_term(e.left_target)} "
-            f"but right side starts at {print_term(e.right_source)}",
-            file=sys.stderr,
-        )
-        return 2
-    except (FuelExhausted, UnknownLabel, ArityError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(e, ParseError) else 2
 
 
 if __name__ == "__main__":

@@ -59,8 +59,8 @@ class ComposeError(TermstratError):
 
     def __init__(self, left_target, right_source):
         super().__init__(
-            f"cannot compose: left proof ends at {left_target} "
-            f"but right proof starts at {right_source}"
+            f"cannot chain: left side ends at {left_target} "
+            f"but right side starts at {right_source}"
         )
         self.left_target = left_target
         self.right_source = right_source

@@ -16,21 +16,18 @@ from .errors import FuelExhausted, StepMismatch, UnknownLabel
 from .terms import (
     App,
     Position,
-    Signature,
     Substitution,
     Term,
     TreeNode,
     Var,
     _instantiate,
     _match,
-    parse_term_tokens,
     print_term,
     replace_at,
     subterm_at,
     tree_node,
     variables,
 )
-from .lex import Lexer
 
 
 @dataclass(frozen=True)
@@ -378,15 +375,3 @@ def apply_step(t: Term, label: StepLabel, rs: RuleSet) -> RewriteStep:
             f"for {label.rule_label} at {label.position} in {print_term(t)}"
         )
     return _fire(t, label.position, rule, bindings, label)
-
-
-def parse_rule_line(lexer: Lexer, sig: Signature, i: int) -> tuple[Rule, int]:
-    """Parse `<label> : <term> => <term>` from token `i`; returns the rule
-    and the index after it."""
-    label = lexer.name(i, "rule label")
-    lhs, i = parse_term_tokens(lexer, sig, lexer.expect(i + 1, ":"))
-    rhs, i = parse_term_tokens(lexer, sig, lexer.expect(i, "=>"))
-    try:
-        return Rule.make(label, lhs, rhs), i
-    except ValueError as e:
-        raise lexer.error(str(e), i) from e

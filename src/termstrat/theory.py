@@ -7,8 +7,10 @@ of declaration, freely interleaved, each referencing earlier lines only:
     rule <label> : <term> => <term>
     strat <name> = <strategy-expr>
 
-Rule labels and strategy names share one namespace: a name is declared once,
-and is never a strategy keyword.
+Symbols, rule labels and strategy names share one namespace: a name is
+declared once, and a rule label or strategy name is never a strategy keyword.
+Each clash is rejected at the name, before the rest of its line is read: a
+label or strategy name by `_declare`, a symbol by `_sig_line`.
 Diagnostics carry the 1-based line and column of the offending token.
 """
 
@@ -17,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .lex import Lexer
-from .rules import RuleSet, parse_rule_line
+from .rules import Rule, RuleSet
 from .strategies import _KEYWORDS, parse_strategy_tokens
-from .terms import Signature, Symbol
+from .terms import Signature, Symbol, parse_term_tokens
 
 
 @dataclass
@@ -42,15 +44,7 @@ def load_theory(text: str) -> Theory:
         if head == "sig":
             i = _sig_line(lexer, th, 1)
         elif head == "rule":
-            if lexer.tokens[1] in _KEYWORDS:
-                raise lexer.error(f"{lexer.tokens[1]!r} is reserved", 1)
-            if lexer.tokens[1] in th.strategies:
-                raise lexer.error(f"name {lexer.tokens[1]} already declared", 1)
-            rule, i = parse_rule_line(lexer, th.signature, 1)
-            try:
-                th.rules.add(rule)
-            except ValueError as e:
-                raise lexer.error(str(e), 0) from e
+            i = _rule_line(lexer, th, 1)
         elif head == "strat":
             i = _strat_line(lexer, th, 1)
         else:
@@ -65,6 +59,8 @@ def _sig_line(lexer: Lexer, th: Theory, i: int) -> int:
         raise lexer.error("expected at least one name/arity pair", i)
     while tokens[i][:1].isalnum():
         name = i
+        if tokens[i] in th.rules or tokens[i] in th.strategies:
+            raise lexer.error(f"name {tokens[i]} already declared", i)
         i = lexer.expect(i + 1, "/")
         if not tokens[i].isdigit():
             raise lexer.expected(i, "arity")
@@ -76,12 +72,33 @@ def _sig_line(lexer: Lexer, th: Theory, i: int) -> int:
     return i
 
 
-def _strat_line(lexer: Lexer, th: Theory, i: int) -> int:
-    name = lexer.name(i, "strategy name")
+def _declare(lexer: Lexer, th: Theory, i: int, what: str) -> str:
+    """Token `i`, a new rule label or strategy name described as `what`:
+    not a strategy keyword, and not yet a symbol, rule label or strategy name."""
+    name = lexer.name(i, what)
     if name in _KEYWORDS:
         raise lexer.error(f"{name!r} is reserved", i)
-    if name in th.strategies or name in th.rules:
+    if name in th.signature or name in th.rules or name in th.strategies:
         raise lexer.error(f"name {name} already declared", i)
+    return name
+
+
+def _rule_line(lexer: Lexer, th: Theory, i: int) -> int:
+    """Parse `<label> : <term> => <term>` from token `i` into `th.rules`;
+    returns the index after it."""
+    label = _declare(lexer, th, i, "rule label")
+    lhs, i = parse_term_tokens(lexer, th.signature, lexer.expect(i + 1, ":"))
+    rhs, i = parse_term_tokens(lexer, th.signature, lexer.expect(i, "=>"))
+    try:
+        rule = Rule.make(label, lhs, rhs)
+    except ValueError as e:
+        raise lexer.error(str(e), i) from e
+    th.rules.add(rule)
+    return i
+
+
+def _strat_line(lexer: Lexer, th: Theory, i: int) -> int:
+    name = _declare(lexer, th, i, "strategy name")
     expr, i = parse_strategy_tokens(
         lexer, th.rules, th.signature, th.strategies, lexer.expect(i + 1, "=")
     )

@@ -79,6 +79,7 @@ class TestDerivation:
             d.then(foreign)
         assert exc.value.left_target == t(rex, "f(a)")
         assert exc.value.right_source == t(rex, "a")
+        assert str(exc.value) == "cannot chain: left side ends at f(a) but right side starts at a"
 
     def test_compose(self, rex):
         d1 = deriv(rex, "f(a)", ((), "r3"))

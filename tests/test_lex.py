@@ -9,8 +9,13 @@ from hypothesis import strategies as st
 
 from termstrat import (
     AmbiguousIdent,
+    App,
     ArityError,
     ParseError,
+    Rule,
+    RuleSet,
+    Signature,
+    Symbol,
     UnboundSVar,
     UnknownSymbol,
     load_theory,
@@ -185,9 +190,14 @@ class TestArityAtHead:
             assert exc.value.col == len(text.split("(")[0]) + 1
 
 
+# A signature and rule set that both name q.  `load_theory` rejects such a
+# theory, so they are built through the API, where they can still clash.
+AMBIGUOUS = (
+    Signature([Symbol("a", 0), Symbol("b", 0), Symbol("q", 0)]),
+    RuleSet([Rule.make("q", App(Symbol("a", 0)), App(Symbol("b", 0)))]),
+)
 # Malformed inputs to the four grammars; each row pins the exception class,
 # message and line:col of the reader before positions were computed lazily.
-AMBIGUOUS = "sig a/0 b/0 q/0\nrule q : a => b\n"
 ERROR_TABLE = [
     ("term", "f(a", ParseError, "expected ')', found end of input", (1, 4)),
     ("term", "f(a,b)", ParseArityError, "f expects 1 argument(s), got 2", (1, 1)),
@@ -230,7 +240,7 @@ ERROR_TABLE = [
     ("theory", "sig a/0\n  sig # nothing", ParseError,
      "expected at least one name/arity pair", (2, 7)),
     ("theory", "sig a/0\nrule r : a => a\nrule r : a => a", ParseError,
-     "duplicate rule label r", (3, 1)),
+     "name r already declared", (3, 6)),
     ("theory", "sig a/0 f/1\nstrat s = occurs(f(a,a))", ParseArityError,
      "f expects 1 argument(s), got 2", (2, 18)),
     # The line readers of `load_theory`, one row per check, pinned before they read by index.
@@ -261,6 +271,11 @@ ERROR_TABLE = [
      "expected recursion variable, found '1'", (1, 14)),
     ("theory", "(foo", ParseError, "expected declaration keyword, found '('", (1, 1)),
     ("theory", "42 x", ParseError, "expected declaration keyword, found '42'", (1, 1)),
+    # Symbols, rule labels and strategy names share one namespace.
+    ("theory", "sig a/0 b/0\nrule a : a => b", ParseError, "name a already declared", (2, 6)),
+    ("theory", "sig a/0 b/0\nrule r : a => b\nsig r/0", ParseError,
+     "name r already declared", (3, 5)),
+    ("theory", "sig a/0 f/1\nstrat f = id", ParseError, "name f already declared", (2, 7)),
 ]
 
 
@@ -277,8 +292,8 @@ class TestErrorTable:
             elif grammar == "proof":
                 parse_proof(text, rex.rules, rex.signature)
             elif grammar == "ambiguous":
-                th = load_theory(AMBIGUOUS)
-                parse_proof(text, th.rules, th.signature)
+                sig, rules = AMBIGUOUS
+                parse_proof(text, rules, sig)
             elif grammar == "strategy":
                 parse_strategy(text, rex.rules, rex.signature)
             else:

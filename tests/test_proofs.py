@@ -23,9 +23,13 @@ from termstrat import (
     Position,
     ROOT,
     Repl,
+    Rule,
+    RuleSet,
     Sequent,
+    Signature,
     StepLabel,
     Substitution,
+    Symbol,
     TermstratError,
     Trans,
     UnknownLabel,
@@ -134,6 +138,7 @@ class TestInfer:
             infer(Trans(Repl("r1", ()), Repl("r1", ())), rex.rules)
         assert exc.value.left_target == t(rex, "b")
         assert exc.value.right_source == t(rex, "a")
+        assert str(exc.value) == "cannot chain: left side ends at b but right side starts at a"
 
     def test_congruence(self, rex):
         h = rex.signature.lookup("h")
@@ -508,12 +513,11 @@ class TestParsePrint:
         assert pp(rex, "x") == Embed(parse_term("x", rex.signature))
 
     def test_ambiguous_ident(self):
-        th = load_theory(
-            "sig a/0 b/0 q/0\n"
-            "rule q : a => b\n"
-        )
+        # `load_theory` rejects a label that is also a symbol; the API does not.
+        a, b, q = Symbol("a", 0), Symbol("b", 0), Symbol("q", 0)
+        rules = RuleSet([Rule.make("q", App(a), App(b))])
         with pytest.raises(AmbiguousIdent):
-            parse_proof("q", th.rules, th.signature)
+            parse_proof("q", rules, Signature([a, b, q]))
 
     def test_print_forms(self, rex):
         assert print_proof(pp(rex, "r3(a) ; r2(a)")) == "r3(a) ; r2(a)"
