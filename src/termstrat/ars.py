@@ -245,34 +245,44 @@ class Extension(AbstractStrategy):
         Yields (n, v) for each derivation of length 1 <= n <= max_len: `v` is
         `view` of its last step (or the step itself), and the derivation
         extends the last one yielded at n - 1.  Steps come in the strategy's
-        order, or sorted by view.  A memoryless strategy's steps at each
-        distinct term are chosen, fired and viewed once, then shared; other
-        strategies are asked at every prefix, traced one pair per step.
+        order, or sorted by view.  Each node is `[traced object, children or
+        None]`; its (v, node) children are chosen, fired and viewed when the
+        walk first expands it.  A memoryless strategy has one node per
+        distinct term, looked up once per fired step, not once per visit;
+        any other strategy has a fresh node per prefix, traced one pair per
+        step.  One loop over a stack of child iterators walks both.
         """
         zeta = self.zeta
-        shared: dict[Term, list[tuple]] = {}  # memoryless: term -> its children
+        root = [traced(source), None]
+        nodes = {source: root} if zeta.memoryless else None  # term -> its node
 
-        def children(tr: TracedObject) -> list[tuple]:
-            """(view, traced target) of each step `zeta` allows at `tr`, in order."""
-            out = shared.get(tr.current)
-            if out is None:
-                out = []
-                for step in zeta._steps(tr):
-                    trace = () if zeta.memoryless else tr.trace + ((tr.current, step.label),)
-                    out.append((view(step) if view else step, TracedObject(trace, step.target)))
-                if view:
-                    out.sort(key=itemgetter(0))
-                if zeta.memoryless:
-                    shared[tr.current] = out
-            return out
+        def expand(node: list) -> list[tuple]:
+            tr = node[0]
+            kids = []
+            for step in zeta._steps(tr):
+                if nodes is None:
+                    kid = [TracedObject(tr.trace + ((tr.current, step.label),), step.target), None]
+                else:
+                    kid = nodes.get(step.target)
+                    if kid is None:
+                        kid = nodes[step.target] = [TracedObject((), step.target), None]
+                kids.append((view(step) if view else step, kid))
+            if view:
+                kids.sort(key=itemgetter(0))
+            node[1] = kids
+            return kids
 
-        stack = [(0, None, traced(source))]
+        stack = [iter(expand(root))] if max_len > 0 else []
         while stack:
-            n, v, tr = stack.pop()
-            if n:
-                yield n, v
+            kid = next(stack[-1], None)
+            if kid is None:
+                stack.pop()
+                continue
+            n = len(stack)
+            yield n, kid[0]
             if n < max_len:
-                stack += reversed([(n + 1, *kid) for kid in children(tr)])
+                node = kid[1]
+                stack.append(iter(expand(node) if node[1] is None else node[1]))
 
 
 def extension(zeta: IntensionalStrategy, a: Term, max_len: int) -> set:

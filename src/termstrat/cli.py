@@ -21,8 +21,8 @@ give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .ars import (
     Extension,
@@ -36,7 +36,7 @@ from .errors import ParseError, TermstratError
 from .proofs import infer, parse_proof
 from .rules import _step_text
 from .strategies import STK, eval_strategy, parse_strategy
-from .terms import parse_term, print_term
+from .terms import Term, parse_term, print_term
 from .theory import Theory, load_theory
 
 # --intensional name -> the strategy it builds from a rule set, in usage order
@@ -125,13 +125,13 @@ def cmd_derive(ns, th: Theory) -> int:
     if ns.depth < 0:
         raise ParseError("--depth must be nonnegative")
     zeta = _INTENSIONAL[ns.intensional](th.rules)
-    texts: dict[int, tuple] = {}  # id -> (term, its text); holding the term keeps its id unique
+    texts: dict[Term, str] = {}  # keyed by the term, so each distinct term is printed once
 
     def show(t) -> str:
-        hit = texts.get(id(t))
-        if hit is None:
-            hit = texts[id(t)] = (t, print_term(t))
-        return hit[1]
+        text = texts.get(t)
+        if text is None:
+            text = texts[t] = print_term(t)
+        return text
 
     def view(step):
         return _json_view(step, show) if ns.json else _step_text(step, show)
@@ -151,9 +151,18 @@ def cmd_derive(ns, th: Theory) -> int:
 
 
 def _json_view(step, show) -> tuple[str, str]:
-    """A step's text, and its JSON object as `derive --json` prints it after another."""
-    obj = json.dumps(_step_json(step, show), indent=2).replace("\n", "\n    ")  # two levels down
-    return _step_text(step, show), ",\n    " + obj
+    """A step's text, and its JSON object as `derive --json` prints it after another:
+    the bytes of `json.dumps(obj, indent=2)` two levels down, with each string
+    written by the C encoder (`indent` would select the pure-Python one)."""
+    fields = []
+    for key, value in _step_json(step, show).items():
+        if type(value) is dict:
+            pairs = [f"{_quote(n)}: {_quote(t)}" for n, t in value.items()]
+            value = "{\n        " + ",\n        ".join(pairs) + "\n      }" if pairs else "{}"
+        else:
+            value = _quote(value)
+        fields.append(f"{_quote(key)}: {value}")
+    return _step_text(step, show), ",\n    {\n      " + ",\n      ".join(fields) + "\n    }"
 
 
 def cmd_check_proof(ns, th: Theory) -> int:

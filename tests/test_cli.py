@@ -11,11 +11,12 @@ from functools import reduce
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gen import (
     REF_EXHAUSTED,
+    bfs_reachable,
     brute_derivations,
     random_ground_term,
     random_pattern,
@@ -376,20 +377,33 @@ class TestDeriveOutput:
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_renders_each_distinct_step_once(self, capsys, monkeypatch, json_flag):
-        # 4025 derivations, but 133 distinct fired steps (see test_ars.py)
-        calls = [0]
-        real = termstrat.cli._step_text
+        # 4025 derivations, but 133 distinct fired steps (see test_ars.py),
+        # 60 distinct terms, and 18 more among the bindings `--json` prints.
+        # The walk expands each term a derivation shorter than 10 reaches.
+        path = REPO / "docs" / "peano.trs"
+        th = load_theory(path.read_text(encoding="utf-8"))
+        expanded = bfs_reachable(parse_term(PEANO_10, th.signature), th.rules, 9)
+        calls = {"_step_text": 0, "print_term": 0, "_steps": 0}
 
-        def counted(step, *show):
-            calls[0] += 1
-            return real(step, *show)
+        def counter(owner, name):
+            real = getattr(owner, name)
 
-        monkeypatch.setattr(termstrat.cli, "_step_text", counted)
-        argv = ["derive", "--file", str(REPO / "docs" / "peano.trs"), "--term", PEANO_10]
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        counter(termstrat.cli, "_step_text")
+        counter(termstrat.cli, "print_term")
+        counter(termstrat.ars._Builtin, "_steps")
+        argv = ["derive", "--file", str(path), "--term", PEANO_10]
         assert main([*argv, "--depth", "10", *json_flag]) == 0
         out = capsys.readouterr().out
         assert len(json.loads(out) if json_flag else out.splitlines()) == 4025
-        assert calls[0] == 133
+        assert calls["_step_text"] == 133
+        assert calls["print_term"] == (78 if json_flag else 60)
+        assert calls["_steps"] == len(expanded) == 60
 
 
 class TestDirectEntry:
@@ -727,3 +741,44 @@ class TestTheoryViewsAgree:
         else:
             expected = (0, f"value: {print_term(want)}\n", "")
         assert run_main(argv) == expected
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_derive(self, data, tmp_path_factory):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        text, _ = random_declarations(rng, clashing=False)
+        path = tmp_path_factory.getbasetemp() / "derive.trs"
+        path.write_text(text)
+        th = load_theory(text)
+        term = random_ground_term(rng, th.signature, 3)
+        depth = rng.randint(0, 3)
+        ds = sorted(brute_derivations(term, th.rules, depth), key=print_derivation)
+        argv = ["derive", "--file", str(path), "--term", print_term(term), "--depth", str(depth)]
+        listing = "".join(print_derivation(d) + "\n" for d in ds)
+        assert run_main(argv) == (0, listing, "")
+        doc = json.dumps([derivation_to_json(d) for d in ds], indent=2) + "\n"
+        assert run_main([*argv, "--json"]) == (0, doc, "")
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_normalize(self, data, tmp_path_factory):
+        # Judged only when the terms reachable in 6 steps are all there are:
+        # no step leaves them, so 7 steps reach the same set.  The search
+        # then fires every redex of each of them once, `spent` steps in all.
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        text, _ = random_declarations(rng, clashing=False)
+        path = tmp_path_factory.getbasetemp() / "normalize.trs"
+        path.write_text(text)
+        th = load_theory(text)
+        term = random_ground_term(rng, th.signature, 3)
+        reachable = bfs_reachable(term, th.rules, 6)
+        steps = (apply_step(u, lab, th.rules) for u in reachable for lab in all_redexes(u, th.rules))
+        assume(all(step.target in reachable for step in steps))
+        redexes = {u: len(all_redexes(u, th.rules)) for u in reachable}
+        spent = sum(redexes.values())
+        forms = sorted(print_term(u) for u, count in redexes.items() if not count)
+        argv = ["normalize", "--file", str(path), "--term", print_term(term), "--fuel"]
+        assert run_main([*argv, str(spent)]) == (0, "".join(f + "\n" for f in forms), "")
+        if spent:
+            code, out, err = run_main([*argv, str(spent - 1)])
+            assert (code, out) == (2, "") and err.startswith("error: ")
