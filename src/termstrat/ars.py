@@ -29,10 +29,10 @@ from .rules import (
     _normalize_rightmost_innermost,
     _out_of_fuel,
     _redexes,
-    _step_text,
+    _shown_step,
     apply_step,
 )
-from .terms import Position, Term, print_term
+from .terms import App, Term, Var, _instantiate, _match, print_term
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class Derivation:
 
 def print_derivation(d: Derivation) -> str:
     """One-line text form; an empty derivation prints as its source term."""
-    return print_term(d.source) + "".join(map(_step_text, d.steps))
+    return print_term(d.source) + "".join(map(_shown_step, d.steps))
 
 
 def derivation_to_json(d: Derivation) -> list:
@@ -239,38 +239,71 @@ class Extension(AbstractStrategy):
             out.append(Derivation._unchecked(source, tuple(steps)))
         return set(out)
 
-    def _walk(self, source: Term, max_len: int, view=None):
+    def _walk(self, source: Term, max_len: int, view=None, table=None):
         """Walk the derivation tree from `source` depth first, in preorder.
 
-        Yields (n, v) for each derivation of length 1 <= n <= max_len: `v` is
-        `view` of its last step (or the step itself), and the derivation
-        extends the last one yielded at n - 1.  Steps come in the strategy's
-        order, or sorted by view.  Each node is `[traced object, children or
-        None]`; its (v, node) children are chosen, fired and viewed when the
-        walk first expands it.  A memoryless strategy has one node per
-        distinct term, looked up once per fired step, not once per visit;
-        any other strategy has a fresh node per prefix, traced one pair per
-        step.  One loop over a stack of child iterators walks both.
+        Yields (n, v) for each derivation of length 1 <= n <= max_len: `v`
+        is the view of its last step, and the derivation extends the last
+        one yielded at n - 1.  Each node is `[term or traced object,
+        children or None]`; its (v, node) children are found, fired and
+        viewed when the walk first expands it, in the strategy's order, or
+        sorted by `v` when a `view` is given.  One loop over a stack of
+        child iterators walks every strategy.
+
+        A built-in strategy is walked through one `_Table`, `table` (which
+        then holds `source`) or a new one.  The table holds each distinct
+        term and subterm the walk meets as one node, with that node's
+        redexes and text, each computed once from its children's.  A node
+        is expanded once, and its steps fire through the table, so each
+        builds only the rewritten path and the right-hand side's new
+        nodes, and its target is found by identity.
+        `view(t, path, rule, bindings, target)` sees each fired step; by
+        default it is the `RewriteStep`.  Any other strategy's steps come
+        from `_steps` and are their own views.  A memoryless one has one
+        node per distinct term, looked up once per fired step; any other
+        has a fresh node per prefix, traced one pair per step.
         """
         zeta = self.zeta
-        root = [traced(source), None]
-        nodes = {source: root} if zeta.memoryless else None  # term -> its node
+        if isinstance(zeta, _Builtin):
+            if table is None:
+                table = _Table(zeta)
+                source = table.intern(source)
+            root = [source, None]
+            nodes = {id(source): root}  # id(term) -> its node
+            view = view or _step
 
-        def expand(node: list) -> list[tuple]:
-            tr = node[0]
-            kids = []
-            for step in zeta._steps(tr):
-                if nodes is None:
-                    kid = [TracedObject(tr.trace + ((tr.current, step.label),), step.target), None]
-                else:
-                    kid = nodes.get(step.target)
+            def expand(node: list) -> list[tuple]:
+                t = node[0]
+                kids = []
+                for path, rule, bindings in table.redexes(t):
+                    if path:
+                        path = _tuple_path(path)
+                    target = _fire(t, path, rule, bindings, None, table)
+                    kid = nodes.get(id(target))
                     if kid is None:
-                        kid = nodes[step.target] = [TracedObject((), step.target), None]
-                kids.append((view(step) if view else step, kid))
-            if view:
-                kids.sort(key=itemgetter(0))
-            node[1] = kids
-            return kids
+                        kid = nodes[id(target)] = [target, None]
+                    kids.append((view(t, path, rule, bindings, target), kid))
+                if view is not _step:
+                    kids.sort(key=itemgetter(0))
+                node[1] = kids
+                return kids
+        else:
+            root = [traced(source), None]
+            terms = {source: root} if zeta.memoryless else None  # term -> its node
+
+            def expand(node: list) -> list[tuple]:
+                tr = node[0]
+                kids = []
+                for step in zeta._steps(tr):
+                    if terms is None:
+                        kid = [TracedObject(tr.trace + ((tr.current, step.label),), step.target), None]
+                    else:
+                        kid = terms.get(step.target)
+                        if kid is None:
+                            kid = terms[step.target] = [TracedObject((), step.target), None]
+                    kids.append((step, kid))
+                node[1] = kids
+                return kids
 
         stack = [iter(expand(root))] if max_len > 0 else []
         while stack:
@@ -283,6 +316,115 @@ class Extension(AbstractStrategy):
             if n < max_len:
                 node = kid[1]
                 stack.append(iter(expand(node) if node[1] is None else node[1]))
+
+
+def _step(t: Term, path: tuple, rule, bindings: dict, target: Term) -> RewriteStep:
+    """The step a walk fired, labelled."""
+    return RewriteStep(t, _label(path, rule, bindings), target)
+
+
+def _tuple_path(path) -> tuple:
+    """The tuple of child indices of a `_Table` path: `()` at the node
+    itself, and `(i, rest)` for `rest` in its i-th child."""
+    out = []
+    while path:
+        i, path = path
+        out.append(i)
+    return tuple(out)
+
+
+class _Table:
+    """One node per distinct term that one walk meets, with its redexes and
+    its text.
+
+    A node is keyed by its symbol's name and its children's identities, a
+    variable by its name apart from every symbol, so the terms built
+    through the table (`app`, `leaf`, `intern`) are one object per value, and a
+    memo keyed by node is sound for the table's life: the table holds
+    every node it made, so no id is reused.  A node's redexes are the
+    strategy's `at` of the node and its children's redexes, and its text
+    is `print_term`'s, built from its children's texts; each is computed
+    once, when first asked for, children first.  Paths are relative to
+    the node, as nested pairs (see `_tuple_path`), so a parent adds one
+    step to each of its children's redexes in constant time.
+    """
+
+    def __init__(self, zeta: _Builtin):
+        self._at = zeta.at
+        self._nodes: dict = {}  # key -> node
+        self._redexes: dict[int, list] = {}  # id(node) -> its redexes
+        self._texts: dict[int, str] = {}  # id(node) -> its text, or "" if too long
+
+    def app(self, symbol, args: tuple) -> App:
+        """The table's node for `App(symbol, args)`, whose args are its nodes."""
+        key = (symbol.name, *map(id, args))
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = App(symbol, args)
+        return node
+
+    def leaf(self, t: Term) -> Term:
+        """The table's node for `t`, a constant or a variable."""
+        key = (None, t.name) if type(t) is Var else (t.symbol.name,)
+        return self._nodes.setdefault(key, t)
+
+    def intern(self, t: Term) -> Term:
+        """The table's node equal to `t`; the nodes of `t` it lacks join it."""
+        return _instantiate({}, t, self)
+
+    def redexes(self, t: Term) -> list:
+        """The redexes `(path, rule, bindings)` the strategy allows at `t`, a
+        node of the table, in its `find` order.  They are kept for `t` and
+        for each of its subterms that lacked them, computed children first."""
+        memo = self._redexes
+        got = memo.get(id(t))
+        if got is not None:
+            return got
+        at = self._at
+        stack = [t]
+        while stack:
+            node = stack[-1]
+            if id(node) in memo:  # a child that occurs twice
+                stack.pop()
+            elif type(node) is Var:
+                memo[id(stack.pop())] = []
+            else:
+                below = [memo.get(id(arg)) for arg in node.args]
+                if None in below:
+                    stack += [arg for arg, got in zip(node.args, below) if got is None]
+                else:
+                    memo[id(stack.pop())] = at(node, below)
+        return memo[id(t)]
+
+    def text(self, t: Term) -> str:
+        """`print_term(t)` for `t`, a node of the table.  It is kept for `t`
+        and for each of its subterms that lacked it, built children first
+        from their texts.  A text longer than `_KEPT` characters is kept as
+        "" and printed whole when asked for, so a deep term costs linear
+        time and memory, not quadratic."""
+        texts = self._texts
+        got = texts.get(id(t))
+        if got is None:
+            stack = [t]
+            while stack:
+                node = stack[-1]
+                if id(node) in texts:  # a child that occurs twice
+                    stack.pop()
+                elif type(node) is Var:
+                    texts[id(stack.pop())] = node.name
+                else:
+                    kids = [texts.get(id(arg)) for arg in node.args]
+                    if None in kids:
+                        stack += [arg for arg, text in zip(node.args, kids) if text is None]
+                        continue
+                    text = f"{node.symbol.name}({','.join(kids)})" if kids else node.symbol.name
+                    long = "" in kids or len(text) > _KEPT
+                    texts[id(stack.pop())] = "" if long else text
+            got = texts[id(t)]
+        return got or print_term(t)
+
+
+_KEPT = 4096  # the longest text a `_Table` keeps
 
 
 def extension(zeta: IntensionalStrategy, a: Term, max_len: int) -> set:
@@ -302,7 +444,11 @@ def memoryless(f: Callable[[Term], frozenset], rs: RuleSet) -> IntensionalStrate
 
 def all_steps(rs: RuleSet) -> IntensionalStrategy:
     """The universal strategy: every redex is allowed at every point."""
-    return _Builtin.make(rs, lambda t: sorted(_redexes(t, rs), key=_redex_key))
+
+    def at(node: Term, below: list) -> list:
+        return sorted(_matches(node, rs), key=_redex_key) + _shifted(below)
+
+    return _Builtin.make(rs, lambda t: sorted(_redexes(t, rs), key=_redex_key), at)
 
 
 def innermost(rs: RuleSet) -> IntensionalStrategy:
@@ -314,8 +460,12 @@ def innermost(rs: RuleSet) -> IntensionalStrategy:
     is a single redex, `normal_forms_under` runs it as rightmost-innermost
     in one pass.
     """
+
+    def at(node: Term, below: list) -> list:
+        return _shifted(below) or sorted(_matches(node, rs), key=_redex_key)
+
     return _Builtin.make(
-        rs, lambda t: sorted(_redexes(t, rs, innermost=True), key=_redex_key), single=True
+        rs, lambda t: sorted(_redexes(t, rs, innermost=True), key=_redex_key), at, single=True
     )
 
 
@@ -328,8 +478,19 @@ def rightmost_innermost(rs: RuleSet) -> IntensionalStrategy:
     runs right to left, so the first redex it meets is that one, and the
     walk stops there.
     """
+
+    def at(node: Term, below: list) -> list:
+        for i in range(len(below), 0, -1):
+            if below[i - 1]:
+                (path, rule, bindings), = below[i - 1]
+                return [((i, path), rule, bindings)]
+        return _matches(node, rs, first=True)
+
     return _Builtin.make(
-        rs, lambda t: list(islice(_redexes(t, rs, innermost=True, backward=True), 1)), single=False
+        rs,
+        lambda t: list(islice(_redexes(t, rs, innermost=True, backward=True), 1)),
+        at,
+        single=False,
     )
 
 
@@ -338,12 +499,37 @@ def _redex_key(redex: tuple):
     return redex[0], redex[1].label
 
 
+def _matches(node: Term, rs: RuleSet, first: bool = False) -> list:
+    """The redexes `((), rule, bindings)` at `node` itself: the rules indexed
+    under its head that match it, in declaration order, or the first one."""
+    out = []
+    for rule in rs._by_head.get(node.symbol.name, ()):
+        bindings = _match(rule.lhs, node)
+        if bindings is not None:
+            out.append(((), rule, bindings))
+            if first:
+                break
+    return out
+
+
+def _shifted(below: list) -> list:
+    """The redexes of a node's children, `below`, in child order, with
+    paths from the node."""
+    return [
+        ((i, path), rule, bindings)
+        for i, redexes in enumerate(below, 1)
+        for path, rule, bindings in redexes
+    ]
+
+
 @dataclass(frozen=True, eq=False)
 class _Builtin(IntensionalStrategy):
     """The strategies `all_steps`, `innermost` and `rightmost_innermost`
     return.  `find(t)` lists the redexes `(path, rule, bindings)` allowed
     at `t` in `sorted_choice` order; `choose` labels them, and `_steps`
     fires them with the bindings their match found, with no second match.
+    `at(node, below)` lists the same redexes of an application node from
+    its children's lists `below`, with paths as a `_Table` keeps them.
 
     `normal_forms_under` runs the last two in one bottom-up pass instead of
     step by step; `single` is None for `all_steps`, and True for
@@ -352,21 +538,19 @@ class _Builtin(IntensionalStrategy):
     """
 
     find: Callable[[Term], list] = None
+    at: Callable[[Term, list], list] = None
     single: bool | None = None
 
     @classmethod
-    def make(cls, rs: RuleSet, find, single=None) -> _Builtin:
+    def make(cls, rs: RuleSet, find, at, single=None) -> _Builtin:
         def choose(tr: TracedObject) -> frozenset:
             return frozenset(_label(*redex) for redex in find(tr.current))
 
-        return cls(choose, True, rs, find, single)
+        return cls(choose, True, rs, find, at, single)
 
     def _steps(self, tr: TracedObject) -> list[RewriteStep]:
         t = tr.current
-        return [
-            _fire(t, Position._unchecked(path), rule, bindings)
-            for path, rule, bindings in self.find(t)
-        ]
+        return [_fire(t, path, rule, bindings) for path, rule, bindings in self.find(t)]
 
 
 def bounded(k: int, base: IntensionalStrategy) -> IntensionalStrategy:

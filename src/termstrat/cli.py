@@ -26,7 +26,9 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .ars import (
     Extension,
+    _step,
     _step_json,
+    _Table,
     all_steps,
     innermost,
     normal_forms_under,
@@ -36,8 +38,8 @@ from .errors import ParseError, TermstratError
 from .proofs import infer, parse_proof
 from .rules import _step_text
 from .strategies import STK, eval_strategy, parse_strategy
-from .terms import Term, parse_term, print_term
-from .theory import Theory, load_theory
+from .terms import _path_text, print_term
+from .theory import Theory, _term, load_theory
 
 # --intensional name -> the strategy it builds from a rule set, in usage order
 _INTENSIONAL = {
@@ -102,7 +104,7 @@ def _load(path: str) -> Theory:
 
 
 def cmd_eval(ns, th: Theory) -> int:
-    term = parse_term(ns.term, th.signature)
+    term = _term(ns.term, th)
     strat = parse_strategy(ns.strategy, th.rules, th.signature, th.strategies)
     result = eval_strategy(strat, term, th.rules, ns.fuel)
     if result == STK:
@@ -113,7 +115,7 @@ def cmd_eval(ns, th: Theory) -> int:
 
 
 def cmd_normalize(ns, th: Theory) -> int:
-    term = parse_term(ns.term, th.signature)
+    term = _term(ns.term, th)
     zeta = _INTENSIONAL[ns.intensional](th.rules)
     for line in sorted(print_term(t) for t in normal_forms_under(zeta, term, ns.fuel)):
         print(line)
@@ -121,25 +123,24 @@ def cmd_normalize(ns, th: Theory) -> int:
 
 
 def cmd_derive(ns, th: Theory) -> int:
-    term = parse_term(ns.term, th.signature)
+    term = _term(ns.term, th)
     if ns.depth < 0:
         raise ParseError("--depth must be nonnegative")
     zeta = _INTENSIONAL[ns.intensional](th.rules)
-    texts: dict[Term, str] = {}  # keyed by the term, so each distinct term is printed once
+    table = _Table(zeta)  # each distinct subterm's text is built once, here
+    show = table.text
 
-    def show(t) -> str:
-        text = texts.get(t)
-        if text is None:
-            text = texts[t] = print_term(t)
-        return text
-
-    def view(step):
-        return _json_view(step, show) if ns.json else _step_text(step, show)
+    def view(t, path, rule, bindings, target):
+        text = _step_text(_path_text(path), rule.label, show(target))
+        if not ns.json:
+            return text
+        return text, _json_item(_step(t, path, rule, bindings, target), show)
 
     # Walk order is sorted order: texts of siblings differ before either ends.
+    term = table.intern(term)
     path = ["" if ns.json else show(term)]  # path[n]: the last output of length n
     lines = path[:]
-    for n, v in Extension(zeta)._walk(term, ns.depth, view):
+    for n, v in Extension(zeta)._walk(term, ns.depth, view, table):
         path[n:] = [path[n - 1] + (v[1] if ns.json else v)]
         lines.append(path[-1])
     if ns.json:
@@ -150,9 +151,9 @@ def cmd_derive(ns, th: Theory) -> int:
     return 0
 
 
-def _json_view(step, show) -> tuple[str, str]:
-    """A step's text, and its JSON object as `derive --json` prints it after another:
-    the bytes of `json.dumps(obj, indent=2)` two levels down, with each string
+def _json_item(step, show) -> str:
+    """A step's JSON object as `derive --json` prints it after another: the
+    bytes of `json.dumps(obj, indent=2)` two levels down, with each string
     written by the C encoder (`indent` would select the pure-Python one)."""
     fields = []
     for key, value in _step_json(step, show).items():
@@ -162,13 +163,13 @@ def _json_view(step, show) -> tuple[str, str]:
         else:
             value = _quote(value)
         fields.append(f"{_quote(key)}: {value}")
-    return _step_text(step, show), ",\n    {\n      " + ",\n      ".join(fields) + "\n    }"
+    return ",\n    {\n      " + ",\n      ".join(fields) + "\n    }"
 
 
 def cmd_check_proof(ns, th: Theory) -> int:
     proof = parse_proof(ns.proof, th.rules, th.signature)
-    expect_from = None if ns.from_term is None else parse_term(ns.from_term, th.signature)
-    expect_to = None if ns.to_term is None else parse_term(ns.to_term, th.signature)
+    expect_from = None if ns.from_term is None else _term(ns.from_term, th)
+    expect_to = None if ns.to_term is None else _term(ns.to_term, th)
     seq = infer(proof, th.rules)
     print(f"{print_term(seq.source)} -> {print_term(seq.target)}")
     if expect_from is not None and seq.source != expect_from:

@@ -22,6 +22,7 @@ from .terms import (
     Var,
     _instantiate,
     _match,
+    _replace,
     print_term,
     replace_at,
     subterm_at,
@@ -121,27 +122,44 @@ class RewriteStep(TreeNode):
     target: Term
 
     def __str__(self) -> str:
-        return print_term(self.source) + _step_text(self)
+        return print_term(self.source) + _shown_step(self)
 
 
-def _step_text(step: RewriteStep, show=print_term) -> str:
-    """What one step adds to its derivation's line; `show` prints a term."""
-    return f" -[{step.label.position},{step.label.rule_label}]-> {show(step.target)}"
+def _step_text(position: str, rule_label: str, target: str) -> str:
+    """What one step adds to its derivation's line, from the texts of its
+    position, rule label and target."""
+    return f" -[{position},{rule_label}]-> {target}"
+
+
+def _shown_step(step: RewriteStep) -> str:
+    """`_step_text` of a step."""
+    return _step_text(str(step.label.position), step.label.rule_label, print_term(step.target))
 
 
 def rewrite_at(t: Term, rule: Rule, p: Position) -> RewriteStep | None:
     """Apply `rule` at position `p` of `t`, or None when the lhs does not match."""
     bindings = _match(rule.lhs, subterm_at(t, p))
-    return None if bindings is None else _fire(t, p, rule, bindings)
+    if bindings is None:
+        return None
+    return _fire(t, p.path, rule, bindings, StepLabel(p, rule.label, Substitution.of(bindings)))
 
 
-def _fire(t: Term, p: Position, rule: Rule, bindings: dict, label=None) -> RewriteStep:
-    """The step that fires `rule` at `p` in `t` with the bindings its match
-    found; `label`, when given, is the equal label to record."""
-    target = replace_at(t, p, _instantiate(bindings, rule.rhs))
+def _fire(t: Term, path: tuple, rule: Rule, bindings: dict, label=None, table=None):
+    """The step that fires `rule` at `path` in `t` with the bindings its
+    match found; `label`, when given, is the equal label to record.
+
+    With a `table` (an `ars._Table`) that holds `t`, only the target is
+    built and returned, through the table: the nodes of the right-hand side
+    the instantiation makes and the nodes on the path are the table's, and
+    every other node is shared with `t`, so the target is the table's node
+    for it, found by identity.  No label or step is made.
+    """
+    rhs = _instantiate(bindings, rule.rhs, table)
+    if table is not None:
+        return _replace(t, path, rhs, table)
     if label is None:
-        label = StepLabel(p, rule.label, Substitution.of(bindings))
-    return RewriteStep(t, label, target)
+        label = _label(path, rule, bindings)
+    return RewriteStep(t, label, replace_at(t, label.position, rhs))
 
 
 def all_redexes(t: Term, rs: RuleSet) -> list[StepLabel]:
@@ -374,4 +392,4 @@ def apply_step(t: Term, label: StepLabel, rs: RuleSet) -> RewriteStep:
             f"recorded bindings {label.subst} disagree with match {found} "
             f"for {label.rule_label} at {label.position} in {print_term(t)}"
         )
-    return _fire(t, label.position, rule, bindings, label)
+    return _fire(t, label.position.path, rule, bindings, label)

@@ -283,7 +283,8 @@ def parse_strategy(
 
     Bare identifiers resolve, in order, to: an enclosing mu binding, a rule
     label in `rs`, a name in `named` (spliced in place).  Anything else
-    raises UnboundSVar.
+    raises UnboundSVar.  No variable of an `occurs` pattern may be spelled
+    like a rule label in `rs`.
     """
     lexer = Lexer(text)
     s, i = parse_strategy_tokens(lexer, rs, sig, named or {}, 0)
@@ -310,7 +311,7 @@ def parse_strategy_tokens(
         return Mu(var, args[0])
 
     def read_term(i: int) -> tuple:
-        return parse_term_tokens(lexer, sig, i)
+        return parse_term_tokens(lexer, sig, i, rs._by_label)
 
     def operand(i: int) -> tuple:
         name = tokens[i]

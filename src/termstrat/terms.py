@@ -316,9 +316,12 @@ class Position:
         return len(self.path) > len(other.path) and other.is_prefix_of(self)
 
     def __str__(self) -> str:
-        if not self.path:
-            return "e"
-        return ".".join(str(i) for i in self.path)
+        return _path_text(self.path)
+
+
+def _path_text(path: tuple) -> str:
+    """The text of the position with `path`: `e` at the root."""
+    return ".".join(map(str, path)) if path else "e"
 
 
 ROOT = Position()
@@ -398,15 +401,23 @@ def replace_at(t: Term, p: Position, s: Term) -> Term:
 
     Only the nodes on the path to `p` are rebuilt.
     """
+    return _replace(t, p.path, s)
+
+
+def _replace(t: Term, path: tuple, s: Term, table=None) -> Term:
+    """`replace_at` for a path of child indices.  With a `table` (an
+    `ars._Table`) each rebuilt node is the table's node for it, so the
+    result is the table's node when `t` and `s` are."""
     spine = []
     cur = t
-    for depth, i in enumerate(p.path):
+    for depth, i in enumerate(path):
         if not isinstance(cur, App) or i > len(cur.args):
-            raise InvalidPosition(f"no position {Position(p.path[depth:])} in {cur}")
+            raise InvalidPosition(f"no position {Position(path[depth:])} in {cur}")
         spine.append(cur)
         cur = cur.args[i - 1]
-    for node, i in zip(reversed(spine), reversed(p.path)):
-        s = App(node.symbol, node.args[: i - 1] + (s,) + node.args[i:])
+    make = App if table is None else table.app
+    for node, i in zip(reversed(spine), reversed(path)):
+        s = make(node.symbol, node.args[: i - 1] + (s,) + node.args[i:])
     return s
 
 
@@ -454,14 +465,24 @@ def apply_subst(subst: Substitution, t: Term) -> Term:
     return _instantiate(dict(subst.pairs), t)
 
 
-def _instantiate(bindings: dict, t: Term) -> Term:
+def _instantiate(bindings: dict, t: Term, table=None) -> Term:
     """`apply_subst` for the bindings as a plain dict of names to terms.
 
     A post-order walk on an explicit stack, so the depth of `t` is not
-    bounded by the interpreter's recursion limit.
+    bounded by the interpreter's recursion limit.  With a `table` (an
+    `ars._Table`) that holds every bound term, each node of the image, the
+    constants and unbound variables of `t` included, is the table's node
+    for it: the image is a node of the table, and shares every node the
+    table already holds.
     """
-    if type(t) is App and not t.args:
-        return t
+    if table is None:
+        if type(t) is Var:
+            return bindings.get(t.name, t)
+        if not t.args:
+            return t
+        make, leaf = App, None
+    else:
+        make, leaf = table.app, table.leaf
     done = []  # images of the finished subterms, in post-order
     # Subterms to visit; under an application's arguments lies its symbol,
     # which rebuilds it from their images once they are done.
@@ -470,13 +491,16 @@ def _instantiate(bindings: dict, t: Term) -> Term:
         node = stack.pop()
         if type(node) is Symbol:
             n = len(done) - node.arity
-            done[n:] = [App(node, tuple(done[n:]))]
+            done[n:] = [make(node, tuple(done[n:]))]
         elif type(node) is Var:
-            done.append(bindings.get(node.name, node))
+            image = bindings.get(node.name)
+            if image is None:
+                image = node if leaf is None else leaf(node)
+            done.append(image)
         elif node.args:
             stack += (node.symbol, *reversed(node.args))
         else:
-            done.append(node)
+            done.append(node if leaf is None else leaf(node))
     return done[0]
 
 
@@ -487,12 +511,14 @@ def parse_term(text: str, sig: Signature) -> Term:
     return t
 
 
-def parse_term_tokens(lexer: Lexer, sig: Signature, i: int) -> tuple[Term, int]:
+def parse_term_tokens(lexer: Lexer, sig: Signature, i: int, reserved=()) -> tuple[Term, int]:
     """Parse one term from token `i`; returns it and the index after it.
 
     Read by `parse_tree`, so the depth of the term is not bounded by the
     interpreter's recursion limit.  Each application is checked against
-    `sig` when its closing parenthesis has been read.
+    `sig` when its closing parenthesis has been read.  A variable must not
+    be spelled like a name `in reserved`: a reader that holds a theory
+    passes its rule labels, which a proof reads as rules.
     """
     tokens = lexer.tokens
     symbols = sig._by_name
@@ -506,6 +532,8 @@ def parse_term_tokens(lexer: Lexer, sig: Signature, i: int) -> tuple[Term, int]:
                 raise lexer.error(f"undeclared symbol {name!r}", head, UnknownSymbol)
             if name[0].isdigit():
                 raise lexer.error(f"undeclared numeral constant {name!r}", head, UnknownSymbol)
+            if name in reserved:
+                raise lexer.error(f"{name!r} is a rule label, not a variable", head)
             return Var(name)
         lexer.check_arity(head, sym.arity, args)
         return App(sym, tuple(args or ()))

@@ -10,7 +10,10 @@ of declaration, freely interleaved, each referencing earlier lines only:
 Symbols, rule labels and strategy names share one namespace: a name is
 declared once, and a rule label or strategy name is never a strategy keyword.
 Each clash is rejected at the name, before the rest of its line is read: a
-label or strategy name by `_declare`, a symbol by `_sig_line`.
+label or strategy name by `_declare`, a symbol by `_sig_line`.  A variable
+is never spelled like a rule label, which a proof would read as the rule:
+`_declare` rejects a label spelled like an earlier rule's variable, and a
+term read against the theory (`_term`, a rule side) rejects the variable.
 Diagnostics carry the 1-based line and column of the offending token.
 """
 
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 from .lex import Lexer
 from .rules import Rule, RuleSet
 from .strategies import _KEYWORDS, parse_strategy_tokens
-from .terms import Signature, Symbol, parse_term_tokens
+from .terms import Signature, Symbol, Term, parse_term_tokens
 
 
 @dataclass
@@ -31,6 +34,8 @@ class Theory:
     signature: Signature = field(default_factory=Signature)
     rules: RuleSet = field(default_factory=RuleSet)
     strategies: dict = field(default_factory=dict)
+    # The variables of its rules: no later rule label may be spelled like one.
+    _variables: set = field(default_factory=set, init=False, repr=False, compare=False)
 
 
 def load_theory(text: str) -> Theory:
@@ -74,27 +79,45 @@ def _sig_line(lexer: Lexer, th: Theory, i: int) -> int:
 
 def _declare(lexer: Lexer, th: Theory, i: int, what: str) -> str:
     """Token `i`, a new rule label or strategy name described as `what`:
-    not a strategy keyword, and not yet a symbol, rule label or strategy name."""
+    not a strategy keyword, and not yet a symbol, rule label or strategy
+    name.  A rule label is not yet a variable of a rule either."""
     name = lexer.name(i, what)
     if name in _KEYWORDS:
         raise lexer.error(f"{name!r} is reserved", i)
-    if name in th.signature or name in th.rules or name in th.strategies:
+    if (
+        name in th.signature
+        or name in th.rules
+        or name in th.strategies
+        or what == "rule label" and name in th._variables
+    ):
         raise lexer.error(f"name {name} already declared", i)
     return name
 
 
 def _rule_line(lexer: Lexer, th: Theory, i: int) -> int:
     """Parse `<label> : <term> => <term>` from token `i` into `th.rules`;
-    returns the index after it."""
+    returns the index after it.  No variable of the rule is spelled like
+    its label or an earlier one."""
     label = _declare(lexer, th, i, "rule label")
-    lhs, i = parse_term_tokens(lexer, th.signature, lexer.expect(i + 1, ":"))
-    rhs, i = parse_term_tokens(lexer, th.signature, lexer.expect(i, "=>"))
+    labels = {**th.rules._by_label, label: None}
+    lhs, i = parse_term_tokens(lexer, th.signature, lexer.expect(i + 1, ":"), labels)
+    rhs, i = parse_term_tokens(lexer, th.signature, lexer.expect(i, "=>"), labels)
     try:
         rule = Rule.make(label, lhs, rhs)
     except ValueError as e:
         raise lexer.error(str(e), i) from e
     th.rules.add(rule)
+    th._variables.update(rule.params)
     return i
+
+
+def _term(text: str, th: Theory) -> Term:
+    """`text` read as a term of `th`: a term of its signature in which no
+    variable is spelled like a rule label."""
+    lexer = Lexer(text)
+    t, i = parse_term_tokens(lexer, th.signature, 0, th.rules._by_label)
+    lexer.expect_end(i)
+    return t
 
 
 def _strat_line(lexer: Lexer, th: Theory, i: int) -> int:

@@ -132,8 +132,8 @@ def random_strategy(
             return IfTE(sub(), sub(), sub())
         case "repeat":
             return Repeat(sub())
-        case "occurs":
-            return Occurs(random_pattern(rng, sig, 2))
+        case "occurs":  # no variable is spelled like a rule label
+            return Occurs(random_pattern(rng, sig, 2, tuple(v for v in "xy" if v not in labels)))
         case "mu":
             var = f"X{len(bound)}"
             return Mu(var, sub(bound + (var,)))
@@ -178,15 +178,23 @@ def random_proof(
     return go(depth)
 
 
-def brute_derivations(t: Term, rs: RuleSet, max_len: int) -> list[Derivation]:
-    """The full derivation tree from t, plainly, without the strategy layer."""
+def brute_derivations(
+    t: Term, rs: RuleSet, max_len: int, innermost: bool = False
+) -> list[Derivation]:
+    """The full derivation tree from t, plainly, without the strategy layer;
+    with `innermost`, only steps at positions with no redex strictly below."""
     out = [Derivation(t)]
     frontier = [Derivation(t)]
     while frontier:
         d = frontier.pop()
         if len(d) >= max_len:
             continue
-        for lab in all_redexes(d.target, rs):
+        labs = all_redexes(d.target, rs)
+        if innermost:
+            labs = [
+                lab for lab in labs if not any(o.position.is_below(lab.position) for o in labs)
+            ]
+        for lab in labs:
             d2 = d.then(apply_step(d.target, lab, rs))
             out.append(d2)
             frontier.append(d2)

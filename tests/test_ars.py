@@ -44,6 +44,7 @@ from termstrat import (
     traced,
 )
 from gen import brute_derivations, random_ground_term
+from termstrat.ars import _Table, _tuple_path
 
 
 def t(rex, text):
@@ -312,8 +313,58 @@ class TestBuiltinFiring:
             assert fired == want
             assert [step.label for step in fired] == zeta.sorted_choice(tr)
         for fuel in range(steps + 3):
-            assert extension(zeta, term, fuel) == extension(replay, term, fuel)
             assert nf_outcome(zeta, term, fuel) == nf_outcome(replay, term, fuel)
+        for fuel in range(steps + 3):
+            ds = extension(zeta, term, fuel)
+            assert ds == extension(replay, term, fuel)
+            # Under `all_steps` the tree grows by its branching at each level:
+            # `h(h(a,g(b)),h(g(b),g(a)))` in PAR runs 10 steps, and has
+            # billions of derivations of length 12.
+            if len(ds) > 2000:
+                break
+
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_table_agrees_with_unshared_code(self, rex, peano, data):
+        # The walk's table shares each distinct subterm; judged node by node
+        # against the plain code, which builds and walks each term whole.
+        th = data.draw(st.sampled_from([rex, peano, TOWER, CYCLE, PAR, DUO]))
+        zeta = data.draw(st.sampled_from([all_steps, innermost, rightmost_innermost]))(th.rules)
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        term = random_ground_term(rng, th.signature, data.draw(st.integers(1, 4)))
+        table = _Table(zeta)
+        source = table.intern(term)
+        walked = list(Extension(zeta)._walk(source, 3, None, table))
+        expanded = [source] + [step.target for n, step in walked if n < 3]
+        fired = {}  # id(source) -> {id(step): step}, in the walk's order
+        for _, step in walked:
+            fired.setdefault(id(step.source), {})[id(step)] = step
+        for t in expanded:
+            assert list(fired.get(id(t), {}).values()) == zeta._steps(traced(t))
+        nodes = list(table._nodes.values())
+        assert len(set(nodes)) == len(nodes)  # one node per distinct term
+        held = {id(node) for node in nodes}
+        assert all(id(arg) in held for node in nodes if type(node) is App for arg in node.args)
+        for node in nodes:
+            assert table.intern(parse_term(print_term(node), th.signature)) is node
+            assert table.text(node) == print_term(node)
+            redexes = [(_tuple_path(p), rule, b) for p, rule, b in table.redexes(node)]
+            assert redexes == zeta.find(node)
+
+
+    def test_table_prints_a_long_text_whole(self, peano):
+        # A text longer than the table keeps is printed whole when asked
+        # for; the shorter texts below it are kept.
+        term = parse_term("s(" * 3000 + "plus(s(0),0)" + ")" * 3000, peano.signature)
+        zeta = all_steps(peano.rules)
+        table = _Table(zeta)
+        steps = [step for _, step in Extension(zeta)._walk(table.intern(term), 2, None, table)]
+        assert len(steps) == 2
+        for t in (term, *(step.target for step in steps)):
+            assert table.text(table.intern(t)) == print_term(t)
+        kept = [text for text in table._texts.values() if text]
+        assert max(map(len, kept)) <= termstrat.ars._KEPT < len(print_term(term))
 
 
 class TestExtension:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from gen import (
     REF_EXHAUSTED,
     bfs_reachable,
     brute_derivations,
+    naive_subterms,
     random_ground_term,
     random_pattern,
     random_proof,
@@ -42,6 +44,7 @@ from termstrat import (
     from_derivation,
     innermost,
     load_theory,
+    parse_proof,
     parse_term,
     print_derivation,
     print_proof,
@@ -377,13 +380,16 @@ class TestDeriveOutput:
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_renders_each_distinct_step_once(self, capsys, monkeypatch, json_flag):
-        # 4025 derivations, but 133 distinct fired steps (see test_ars.py),
-        # 60 distinct terms, and 18 more among the bindings `--json` prints.
-        # The walk expands each term a derivation shorter than 10 reaches.
+        # 4025 derivations, but 133 distinct fired steps (see test_ars.py)
+        # and 60 distinct terms: the walk expands each term a derivation
+        # shorter than 10 reaches, and reaches no other.  Its table builds
+        # the redexes and the text of each of their distinct subterms once;
+        # the 18 terms among the bindings `--json` prints are among those 187.
         path = REPO / "docs" / "peano.trs"
         th = load_theory(path.read_text(encoding="utf-8"))
         expanded = bfs_reachable(parse_term(PEANO_10, th.signature), th.rules, 9)
-        calls = {"_step_text": 0, "print_term": 0, "_steps": 0}
+        subterms = {u for t in expanded for u in naive_subterms(t)}
+        calls = {"_step_text": 0, "redexes": 0}
 
         def counter(owner, name):
             real = getattr(owner, name)
@@ -395,15 +401,45 @@ class TestDeriveOutput:
             monkeypatch.setattr(owner, name, counted)
 
         counter(termstrat.cli, "_step_text")
-        counter(termstrat.cli, "print_term")
-        counter(termstrat.ars._Builtin, "_steps")
+        counter(termstrat.ars._Table, "redexes")
+        tables = spy_tables(monkeypatch)
         argv = ["derive", "--file", str(path), "--term", PEANO_10]
         assert main([*argv, "--depth", "10", *json_flag]) == 0
         out = capsys.readouterr().out
         assert len(json.loads(out) if json_flag else out.splitlines()) == 4025
         assert calls["_step_text"] == 133
-        assert calls["print_term"] == (78 if json_flag else 60)
-        assert calls["_steps"] == len(expanded) == 60
+        assert calls["redexes"] == len(expanded) == 60
+        (table,) = tables
+        assert len(table._texts) == len(table._redexes) == len(subterms) == 187
+
+    def test_deep_term_costs_its_rewritten_paths(self, capsys, monkeypatch):
+        # Each step of `plus(s^k(0),s^k(0))` rewrites at the root or just
+        # below: the nodes the walk adds past the source's k + 2 do not
+        # grow with k, and neither do the redex lists or texts it builds.
+        path = str(REPO / "docs" / "peano.trs")
+        added = []
+        for k in (50, 500):
+            tables = spy_tables(monkeypatch)
+            num = "s(" * k + "0" + ")" * k
+            assert main(["derive", "--file", path, "--term", f"plus({num},{num})", "--depth", "3"]) == 0
+            assert len(capsys.readouterr().out.splitlines()) == 4
+            (table,) = tables
+            counts = (len(table._nodes), len(table._redexes), len(table._texts))
+            added.append(tuple(count - (k + 2) for count in counts))
+        assert added[0] == added[1] == (9, 5, 9)
+
+
+def spy_tables(monkeypatch) -> list:
+    """The `_Table`s `derive` makes from now on, in a list."""
+    tables = []
+
+    class Table(termstrat.ars._Table):
+        def __init__(self, zeta):
+            super().__init__(zeta)
+            tables.append(self)
+
+    monkeypatch.setattr(termstrat.cli, "_Table", Table)
+    return tables
 
 
 class TestDirectEntry:
@@ -551,11 +587,11 @@ def random_symbols(rng) -> list:
     return syms + [s for s in SYMBOLS if s not in syms and rng.random() < 0.5]
 
 
-def random_rule_line(rng, sig, label) -> str:
+def random_rule_line(rng, sig, label, var_names=("x", "y")) -> str:
     """`rule <label> : <lhs> => <rhs>` with random sides over `sig`."""
-    lhs = random_pattern(rng, sig, rng.randint(1, 3))
+    lhs = random_pattern(rng, sig, rng.randint(1, 3), var_names)
     while type(lhs) is not App:
-        lhs = random_pattern(rng, sig, rng.randint(1, 3))
+        lhs = random_pattern(rng, sig, rng.randint(1, 3), var_names)
     params = variables(lhs)
     rhs = (
         random_pattern(rng, sig, rng.randint(1, 3), params)
@@ -641,9 +677,12 @@ def random_declarations(rng, clashing: bool) -> tuple:
     declarations in order as `(kind, name, line, col)`.
 
     Without `clashing` every label and strategy name is a distinct plain
-    name.  With it, a name may also be a keyword, a symbol or an earlier
-    name, and a later `sig` line may declare a constant named like an
-    earlier label or strategy.
+    name, and no variable is named like one.  With it, a name may also be
+    a keyword, a symbol or an earlier name, a later `sig` line may declare
+    a constant named like an earlier label or strategy, and a rule's
+    variables may be named like its label or an earlier one.  Each
+    variable of a rule is a declaration `("var", name, line, col)` after
+    the rule's.
     """
     syms = random_symbols(rng)
     sig = Signature(syms)
@@ -662,8 +701,17 @@ def random_declarations(rng, clashing: bool) -> tuple:
             lines.append(f"strat {name} = first({rng.choice(earlier)},id)")
             decls.append(("strat", name, len(lines), 7))
         else:
-            lines.append(random_rule_line(rng, sig, name))
+            if not clashing:
+                var_names = tuple(v for v in ("x", "y") if v not in names)
+            elif rng.random() < 0.3:
+                var_names = ("x", "y", rng.choice([*earlier, name]))
+            else:
+                var_names = ("x", "y")
+            lines.append(random_rule_line(rng, sig, name, var_names))
             decls.append(("rule", name, len(lines), 6))
+            for m in list(re.finditer(r"\w+", lines[-1]))[2:]:
+                if m.group() not in sig:
+                    decls.append(("var", m.group(), len(lines), m.start() + 1))
         earlier.append(name)
         if k == extra:
             constant = rng.choice(earlier if rng.random() < 0.5 else ("r", "p", "d"))
@@ -674,16 +722,30 @@ def random_declarations(rng, clashing: bool) -> tuple:
 
 def first_clash(decls) -> tuple | None:
     """The line, column and message of the first declaration that reuses a
-    name, or names a label or strategy like a keyword; None if there is none."""
-    symbols, declared = set(), set()
+    name, names a label or strategy like a keyword, names a label like an
+    earlier rule's variable, or names a variable like a label; None if
+    there is none."""
+    symbols, declared, labels, variables = set(), set(), set(), set()
     for kind, name, line, col in decls:
+        if kind == "var":
+            if name in labels:
+                return line, col, f"{name!r} is a rule label, not a variable"
+            variables.add(name)
+            continue
         if kind != "sig" and name in KEYWORD_NAMES:
             return line, col, f"{name!r} is reserved"
-        if name in declared and (kind != "sig" or name not in symbols):
+        if (
+            name in declared
+            and (kind != "sig" or name not in symbols)
+            or kind == "rule"
+            and name in variables
+        ):
             return line, col, f"name {name} already declared"
         declared.add(name)
         if kind == "sig":
             symbols.add(name)
+        elif kind == "rule":
+            labels.add(name)
     return None
 
 
@@ -706,20 +768,27 @@ class TestTheoryViewsAgree:
             assert run_main(argv) == (3, "", f"error: {path}:{line}:{col}: {message}\n")
             return
         th = load_theory(text)
-        # Ground terms only: a variable spelled like a rule label (x) cannot
-        # be rejected at load, since proof syntax reads it as the rule.
-        term = random_ground_term(rng, th.signature, 3)
-        argv = ["derive", "--file", str(path), "--term", print_term(term), "--depth", "1"]
+        # An open term, with variables that may be spelled like rule labels:
+        # read, such a variable would print in a proof as the rule.
+        names = [v for v in ("x", "y", *(r.label for r in th.rules)) if v not in th.signature]
+        term = random_pattern(rng, th.signature, 3, names)
+        shown = print_term(term)
+        argv = ["derive", "--file", str(path), "--term", shown, "--depth", "1"]
         code, out, err = run_main(argv)
+        clash = next((m for m in re.finditer(r"\w+", shown) if m.group() in th.rules), None)
+        if clash is not None:
+            message = f"'{clash.group()}' is a rule label, not a variable"
+            assert (code, out, err) == (3, "", f"error: 1:{clash.start() + 1}: {message}\n")
+            return
         steps = [apply_step(term, label, th.rules) for label in all_redexes(term, th.rules)]
         assert (code, err) == (0, "")
-        assert out.splitlines()[0] == print_term(term)
+        assert out.splitlines()[0] == shown
         assert sorted(out.splitlines()[1:]) == sorted(map(str, steps))
-        for step in steps:
-            proof = print_proof(from_derivation(Derivation(term, (step,)), th.rules))
-            argv = ["check-proof", "--file", str(path), "--proof", proof]
-            want = f"{print_term(term)} -> {print_term(step.target)}\n"
-            assert run_main(argv) == (0, want, "")
+        for d in [Derivation(term), *(Derivation(term, (step,)) for step in steps)]:
+            proof = from_derivation(d, th.rules)
+            assert parse_proof(print_proof(proof), th.rules, th.signature) == proof
+            argv = ["check-proof", "--file", str(path), "--proof", print_proof(proof)]
+            assert run_main(argv) == (0, f"{shown} -> {print_term(d.target)}\n", "")
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -752,8 +821,11 @@ class TestTheoryViewsAgree:
         th = load_theory(text)
         term = random_ground_term(rng, th.signature, 3)
         depth = rng.randint(0, 3)
-        ds = sorted(brute_derivations(term, th.rules, depth), key=print_derivation)
+        mode = rng.choice(("all", "innermost"))
+        ds = brute_derivations(term, th.rules, depth, innermost=mode == "innermost")
+        ds.sort(key=print_derivation)
         argv = ["derive", "--file", str(path), "--term", print_term(term), "--depth", str(depth)]
+        argv += ["--intensional", mode]
         listing = "".join(print_derivation(d) + "\n" for d in ds)
         assert run_main(argv) == (0, listing, "")
         doc = json.dumps([derivation_to_json(d) for d in ds], indent=2) + "\n"

@@ -27,6 +27,7 @@ from termstrat import (
 from termstrat.errors import ParseArityError
 from termstrat.lex import Lexer
 from termstrat.terms import parse_term_tokens
+from termstrat.theory import _term
 from test_terms import term_exprs
 
 PUNCTUATION = ("=>", "(", ")", ",", ";", ".", ":", "=", "/")
@@ -276,6 +277,18 @@ ERROR_TABLE = [
     ("theory", "sig a/0 b/0\nrule r : a => b\nsig r/0", ParseError,
      "name r already declared", (3, 5)),
     ("theory", "sig a/0 f/1\nstrat f = id", ParseError, "name f already declared", (2, 7)),
+    # A variable is never spelled like a rule label, which a proof reads as the rule.
+    ("theory", "sig a/0 f/1\nrule x : f(x) => x", ParseError,
+     "'x' is a rule label, not a variable", (2, 12)),
+    ("theory", "sig a/0 f/1\nrule r : f(a) => a\nrule q : f(x) => r", ParseError,
+     "'r' is a rule label, not a variable", (3, 18)),
+    ("theory", "sig a/0 f/1\nrule r : f(x) => x\nrule x : a => a", ParseError,
+     "name x already declared", (3, 6)),
+    ("theory", "sig a/0 f/1\nrule r : f(x) => x\nstrat s = occurs(f(r))", ParseError,
+     "'r' is a rule label, not a variable", (3, 20)),
+    ("strategy", "try(occurs(g(r2)))", ParseError, "'r2' is a rule label, not a variable", (1, 14)),
+    ("theory term", "f(r1)", ParseError, "'r1' is a rule label, not a variable", (1, 3)),
+    ("theory term", "h(x,\n  g(r3))", ParseError, "'r3' is a rule label, not a variable", (2, 5)),
 ]
 
 
@@ -296,6 +309,8 @@ class TestErrorTable:
                 parse_proof(text, rules, sig)
             elif grammar == "strategy":
                 parse_strategy(text, rex.rules, rex.signature)
+            elif grammar == "theory term":  # `--term`, `--from` and `--to`
+                _term(text, rex)
             else:
                 load_theory(text)
         assert type(exc.value) is cls

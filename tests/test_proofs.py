@@ -54,11 +54,13 @@ from termstrat import (
 import termstrat.terms
 from termstrat.errors import ParseArityError
 from termstrat.terms import App, _flatten
+from termstrat.theory import _term
 from gen import (
     brute_derivations,
     check_deep_node,
     check_node_methods,
     random_ground_term,
+    random_pattern,
     random_proof,
     reference_infer,
     symbols_of,
@@ -472,6 +474,31 @@ class TestApplyProofSet:
 
 
 class TestParsePrint:
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_open_terms_read_back(self, rex, peano, data):
+        # A variable spelled like a rule label would print as the rule, so
+        # the readers that hold a theory reject it, and every proof over the
+        # open terms they accept reads back as itself.
+        th = data.draw(st.sampled_from([rex, peano, None]))
+        if th is None:
+            with pytest.raises(ParseError):
+                th = load_theory("sig a/0 f/1\nrule x : f(x) => x\n")
+            return
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        names = ("x", "y", rng.choice([r.label for r in th.rules]))
+        shown = print_term(random_pattern(rng, th.signature, 3, names))
+        try:
+            term = _term(shown, th)
+        except ParseError as e:
+            assert e.args[0] == f"{names[2]!r} is a rule label, not a variable"
+            return
+        for d in brute_derivations(term, th.rules, 2):
+            pi = from_derivation(d, th.rules)
+            back = parse_proof(print_proof(pi), th.rules, th.signature)
+            assert back == pi
+            assert infer(back, th.rules) == infer(pi, th.rules) == Sequent(d.source, d.target)
+
     def test_sequences_parse(self, rex):
         pi = pp(rex, "r1 ; r1")
         assert pi == Trans(Repl("r1", ()), Repl("r1", ()))
