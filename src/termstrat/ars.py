@@ -258,10 +258,11 @@ class Extension(AbstractStrategy):
         builds only the rewritten path and the right-hand side's new
         nodes, and its target is found by identity.
         `view(t, path, rule, bindings, target)` sees each fired step; by
-        default it is the `RewriteStep`.  Any other strategy's steps come
-        from `_steps` and are their own views.  A memoryless one has one
-        node per distinct term, looked up once per fired step; any other
-        has a fresh node per prefix, traced one pair per step.
+        default it is the `RewriteStep`.  Any other strategy takes no
+        `view`: its steps come from `_steps`, in its order, and are their
+        own views.  A memoryless one has one node per distinct term, looked
+        up once per fired step; any other has a fresh node per prefix,
+        traced one pair per step.
         """
         zeta = self.zeta
         if isinstance(zeta, _Builtin):
@@ -288,6 +289,7 @@ class Extension(AbstractStrategy):
                 node[1] = kids
                 return kids
         else:
+            assert view is None, "only a built-in strategy's walk takes a view"
             root = [traced(source), None]
             terms = {source: root} if zeta.memoryless else None  # term -> its node
 
@@ -354,6 +356,7 @@ class _Table:
         self._nodes: dict = {}  # key -> node
         self._redexes: dict[int, list] = {}  # id(node) -> its redexes
         self._texts: dict[int, str] = {}  # id(node) -> its text, or "" if too long
+        self._long: dict[int, str] = {}  # id(node) -> its text, too long, once asked for
 
     def app(self, symbol, args: tuple) -> App:
         """The table's node for `App(symbol, args)`, whose args are its nodes."""
@@ -400,8 +403,8 @@ class _Table:
         """`print_term(t)` for `t`, a node of the table.  It is kept for `t`
         and for each of its subterms that lacked it, built children first
         from their texts.  A text longer than `_KEPT` characters is kept as
-        "" and printed whole when asked for, so a deep term costs linear
-        time and memory, not quadratic."""
+        "", and printed whole and kept apart when first asked for, so the
+        texts of a deep term's subterms cost linear memory, not quadratic."""
         texts = self._texts
         got = texts.get(id(t))
         if got is None:
@@ -421,10 +424,17 @@ class _Table:
                     long = "" in kids or len(text) > _KEPT
                     texts[id(stack.pop())] = "" if long else text
             got = texts[id(t)]
-        return got or print_term(t)
+        if not got:
+            got = self._long.get(id(t))
+            if got is None:
+                got = self._long[id(t)] = print_term(t)
+        return got
 
 
-_KEPT = 4096  # the longest text a `_Table` keeps
+# The longest text a `_Table` keeps.  The kept texts of a tower such as
+# `s(s(...))` total about `_KEPT ** 2 / 6` bytes: 2.8 MB at 4096, 45 MB at
+# 16384.  Terms whose texts all fit are built by joins alone.
+_KEPT = 4096
 
 
 def extension(zeta: IntensionalStrategy, a: Term, max_len: int) -> set:

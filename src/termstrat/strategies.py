@@ -39,6 +39,7 @@ from .terms import (
     parse_term_tokens,
     print_tree,
     tree_node,
+    variables,
 )
 
 
@@ -293,9 +294,10 @@ def parse_strategy(
 
 
 def parse_strategy_tokens(
-    lexer: Lexer, rs: RuleSet, sig: Signature, named: dict, i: int
+    lexer: Lexer, rs: RuleSet, sig: Signature, named: dict, i: int, seen: set | None = None
 ) -> tuple[StrategyExpr, int]:
-    """Parse one strategy expression from token `i`; returns it and the index after it."""
+    """Parse one strategy expression from token `i`; returns it and the index
+    after it.  The variables of its `occurs` patterns join `seen`, if given."""
     # The variables of the enclosing mus, counted: each mu frame adds its own
     # and removes it when its body is read, so a mu chain parses in linear time.
     bound: Counter = Counter()
@@ -311,7 +313,10 @@ def parse_strategy_tokens(
         return Mu(var, args[0])
 
     def read_term(i: int) -> tuple:
-        return parse_term_tokens(lexer, sig, i, rs._by_label)
+        pattern, i = parse_term_tokens(lexer, sig, i, rs._by_label)
+        if seen is not None:
+            seen.update(variables(pattern))
+        return pattern, i
 
     def operand(i: int) -> tuple:
         name = tokens[i]

@@ -12,8 +12,9 @@ declared once, and a rule label or strategy name is never a strategy keyword.
 Each clash is rejected at the name, before the rest of its line is read: a
 label or strategy name by `_declare`, a symbol by `_sig_line`.  A variable
 is never spelled like a rule label, which a proof would read as the rule:
-`_declare` rejects a label spelled like an earlier rule's variable, and a
-term read against the theory (`_term`, a rule side) rejects the variable.
+`_declare` rejects a label spelled like an earlier variable (of a rule or
+of an `occurs` pattern), and a term read against the theory (`_term`, a
+rule side, a pattern) rejects the variable.
 Diagnostics carry the 1-based line and column of the offending token.
 """
 
@@ -34,7 +35,8 @@ class Theory:
     signature: Signature = field(default_factory=Signature)
     rules: RuleSet = field(default_factory=RuleSet)
     strategies: dict = field(default_factory=dict)
-    # The variables of its rules: no later rule label may be spelled like one.
+    # The variables of its rules and `occurs` patterns: no later rule label
+    # may be spelled like one.
     _variables: set = field(default_factory=set, init=False, repr=False, compare=False)
 
 
@@ -80,7 +82,7 @@ def _sig_line(lexer: Lexer, th: Theory, i: int) -> int:
 def _declare(lexer: Lexer, th: Theory, i: int, what: str) -> str:
     """Token `i`, a new rule label or strategy name described as `what`:
     not a strategy keyword, and not yet a symbol, rule label or strategy
-    name.  A rule label is not yet a variable of a rule either."""
+    name.  A rule label is not yet a variable either."""
     name = lexer.name(i, what)
     if name in _KEYWORDS:
         raise lexer.error(f"{name!r} is reserved", i)
@@ -99,7 +101,7 @@ def _rule_line(lexer: Lexer, th: Theory, i: int) -> int:
     returns the index after it.  No variable of the rule is spelled like
     its label or an earlier one."""
     label = _declare(lexer, th, i, "rule label")
-    labels = {**th.rules._by_label, label: None}
+    labels = _Labels(th.rules._by_label, label)
     lhs, i = parse_term_tokens(lexer, th.signature, lexer.expect(i + 1, ":"), labels)
     rhs, i = parse_term_tokens(lexer, th.signature, lexer.expect(i, "=>"), labels)
     try:
@@ -109,6 +111,20 @@ def _rule_line(lexer: Lexer, th: Theory, i: int) -> int:
     th.rules.add(rule)
     th._variables.update(rule.params)
     return i
+
+
+class _Labels:
+    """The labels `by_label` holds and one more, `label`, as a container:
+    the names a variable of the rule `label` may not take."""
+
+    __slots__ = ("by_label", "label")
+
+    def __init__(self, by_label: dict, label: str):
+        self.by_label = by_label
+        self.label = label
+
+    def __contains__(self, name: str) -> bool:
+        return name == self.label or name in self.by_label
 
 
 def _term(text: str, th: Theory) -> Term:
@@ -123,7 +139,7 @@ def _term(text: str, th: Theory) -> Term:
 def _strat_line(lexer: Lexer, th: Theory, i: int) -> int:
     name = _declare(lexer, th, i, "strategy name")
     expr, i = parse_strategy_tokens(
-        lexer, th.rules, th.signature, th.strategies, lexer.expect(i + 1, "=")
+        lexer, th.rules, th.signature, th.strategies, lexer.expect(i + 1, "="), th._variables
     )
     th.strategies[name] = expr
     return i

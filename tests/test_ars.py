@@ -313,16 +313,8 @@ class TestBuiltinFiring:
             assert fired == want
             assert [step.label for step in fired] == zeta.sorted_choice(tr)
         for fuel in range(steps + 3):
+            assert extension(zeta, term, fuel) == extension(replay, term, fuel)
             assert nf_outcome(zeta, term, fuel) == nf_outcome(replay, term, fuel)
-        for fuel in range(steps + 3):
-            ds = extension(zeta, term, fuel)
-            assert ds == extension(replay, term, fuel)
-            # Under `all_steps` the tree grows by its branching at each level:
-            # `h(h(a,g(b)),h(g(b),g(a)))` in PAR runs 10 steps, and has
-            # billions of derivations of length 12.
-            if len(ds) > 2000:
-                break
-
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -352,17 +344,20 @@ class TestBuiltinFiring:
             redexes = [(_tuple_path(p), rule, b) for p, rule, b in table.redexes(node)]
             assert redexes == zeta.find(node)
 
-
     def test_table_prints_a_long_text_whole(self, peano):
-        # A text longer than the table keeps is printed whole when asked
-        # for; the shorter texts below it are kept.
+        # A text longer than the table keeps below a node is printed whole
+        # when first asked for, and kept for that node; the shorter texts
+        # below it are kept.
         term = parse_term("s(" * 3000 + "plus(s(0),0)" + ")" * 3000, peano.signature)
         zeta = all_steps(peano.rules)
         table = _Table(zeta)
         steps = [step for _, step in Extension(zeta)._walk(table.intern(term), 2, None, table)]
         assert len(steps) == 2
         for t in (term, *(step.target for step in steps)):
-            assert table.text(table.intern(t)) == print_term(t)
+            node = table.intern(t)
+            assert table.text(node) == print_term(t)
+            assert table.text(node) is table.text(node)
+        assert len(table._long) == 3
         kept = [text for text in table._texts.values() if text]
         assert max(map(len, kept)) <= termstrat.ars._KEPT < len(print_term(term))
 

@@ -36,6 +36,7 @@ from termstrat import (
     Signature,
     Symbol,
     Trans,
+    Var,
     all_redexes,
     all_steps,
     apply_step,
@@ -46,10 +47,12 @@ from termstrat import (
     load_theory,
     parse_proof,
     parse_term,
+    positions,
     print_derivation,
     print_proof,
     print_strategy,
     print_term,
+    replace_at,
     rightmost_innermost,
     variables,
 )
@@ -768,18 +771,12 @@ class TestTheoryViewsAgree:
             assert run_main(argv) == (3, "", f"error: {path}:{line}:{col}: {message}\n")
             return
         th = load_theory(text)
-        # An open term, with variables that may be spelled like rule labels:
-        # read, such a variable would print in a proof as the rule.
-        names = [v for v in ("x", "y", *(r.label for r in th.rules)) if v not in th.signature]
+        # An open term, with no variable spelled like a rule label.
+        names = [v for v in ("x", "y", "z") if v not in th.rules and v not in th.signature]
         term = random_pattern(rng, th.signature, 3, names)
         shown = print_term(term)
         argv = ["derive", "--file", str(path), "--term", shown, "--depth", "1"]
         code, out, err = run_main(argv)
-        clash = next((m for m in re.finditer(r"\w+", shown) if m.group() in th.rules), None)
-        if clash is not None:
-            message = f"'{clash.group()}' is a rule label, not a variable"
-            assert (code, out, err) == (3, "", f"error: 1:{clash.start() + 1}: {message}\n")
-            return
         steps = [apply_step(term, label, th.rules) for label in all_redexes(term, th.rules)]
         assert (code, err) == (0, "")
         assert out.splitlines()[0] == shown
@@ -789,6 +786,14 @@ class TestTheoryViewsAgree:
             assert parse_proof(print_proof(proof), th.rules, th.signature) == proof
             argv = ["check-proof", "--file", str(path), "--proof", print_proof(proof)]
             assert run_main(argv) == (0, f"{shown} -> {print_term(d.target)}\n", "")
+        # The same term with one subterm a variable spelled like a rule label,
+        # which a proof would read as the rule: rejected at that variable.
+        label = rng.choice([r.label for r in th.rules])
+        bad = print_term(replace_at(term, rng.choice(positions(term)), Var(label)))
+        col = next(m.start() for m in re.finditer(r"\w+", bad) if m.group() == label) + 1
+        message = f"error: 1:{col}: '{label}' is a rule label, not a variable\n"
+        argv = ["derive", "--file", str(path), "--term", bad, "--depth", "1"]
+        assert run_main(argv) == (3, "", message)
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)

@@ -286,6 +286,10 @@ ERROR_TABLE = [
      "name x already declared", (3, 6)),
     ("theory", "sig a/0 f/1\nrule r : f(x) => x\nstrat s = occurs(f(r))", ParseError,
      "'r' is a rule label, not a variable", (3, 20)),
+    ("theory", "sig a/0 f/1\nstrat s = occurs(f(x))\nrule x : a => a", ParseError,
+     "name x already declared", (3, 6)),
+    ("theory", "sig a/0 f/1 h/2\nrule r : a => a\nrule x : h(y,x) => r", ParseError,
+     "'x' is a rule label, not a variable", (3, 14)),
     ("strategy", "try(occurs(g(r2)))", ParseError, "'r2' is a rule label, not a variable", (1, 14)),
     ("theory term", "f(r1)", ParseError, "'r1' is a rule label, not a variable", (1, 3)),
     ("theory term", "h(x,\n  g(r3))", ParseError, "'r3' is a rule label, not a variable", (2, 5)),

@@ -45,9 +45,11 @@ from termstrat import (
     parse_proof,
     parse_strategy,
     parse_term,
+    positions,
     print_derivation,
     print_proof,
     print_term,
+    replace_at,
     rewrite_at,
     to_derivation,
 )
@@ -477,27 +479,30 @@ class TestParsePrint:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_open_terms_read_back(self, rex, peano, data):
-        # A variable spelled like a rule label would print as the rule, so
-        # the readers that hold a theory reject it, and every proof over the
-        # open terms they accept reads back as itself.
-        th = data.draw(st.sampled_from([rex, peano, None]))
-        if th is None:
-            with pytest.raises(ParseError):
-                th = load_theory("sig a/0 f/1\nrule x : f(x) => x\n")
-            return
+        # A variable spelled like a rule label would print in a proof as the
+        # rule, so the readers that hold a theory reject it, and every proof
+        # over the open terms they accept reads back as itself.  Each draw
+        # reads an open term and the same term with one subterm such a
+        # variable.
+        th = data.draw(st.sampled_from([rex, peano]))
         rng = random.Random(data.draw(st.integers(0, 2**32)))
-        names = ("x", "y", rng.choice([r.label for r in th.rules]))
-        shown = print_term(random_pattern(rng, th.signature, 3, names))
-        try:
-            term = _term(shown, th)
-        except ParseError as e:
-            assert e.args[0] == f"{names[2]!r} is a rule label, not a variable"
-            return
-        for d in brute_derivations(term, th.rules, 2):
-            pi = from_derivation(d, th.rules)
-            back = parse_proof(print_proof(pi), th.rules, th.signature)
-            assert back == pi
-            assert infer(back, th.rules) == infer(pi, th.rules) == Sequent(d.source, d.target)
+        term = random_pattern(rng, th.signature, 3)
+        label = rng.choice([r.label for r in th.rules])
+        clashing = replace_at(term, rng.choice(positions(term)), Var(label))
+        for t in (term, clashing):
+            try:
+                read = _term(print_term(t), th)
+            except ParseError as e:
+                assert t is clashing
+                assert e.args[0] == f"{label!r} is a rule label, not a variable"
+                continue
+            assert read == t
+            for d in brute_derivations(t, th.rules, 2):
+                pi = from_derivation(d, th.rules)
+                back = parse_proof(print_proof(pi), th.rules, th.signature)
+                assert back == pi
+                assert infer(back, th.rules) == infer(pi, th.rules) == Sequent(d.source, d.target)
+            assert t is term
 
     def test_sequences_parse(self, rex):
         pi = pp(rex, "r1 ; r1")
