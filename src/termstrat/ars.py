@@ -32,7 +32,7 @@ from .rules import (
     _shown_step,
     apply_step,
 )
-from .terms import App, Term, Var, _instantiate, _match, print_term
+from .terms import App, Term, Var, _instantiate, _run, print_term
 
 
 @dataclass(frozen=True)
@@ -363,7 +363,7 @@ class _Table:
         key = (symbol.name, *map(id, args))
         node = self._nodes.get(key)
         if node is None:
-            node = self._nodes[key] = App(symbol, args)
+            node = self._nodes[key] = App._unchecked(symbol, args)
         return node
 
     def leaf(self, t: Term) -> Term:
@@ -514,7 +514,7 @@ def _matches(node: Term, rs: RuleSet, first: bool = False) -> list:
     under its head that match it, in declaration order, or the first one."""
     out = []
     for rule in rs._by_head.get(node.symbol.name, ()):
-        bindings = _match(rule.lhs, node)
+        bindings = _run(rule.program, node)
         if bindings is not None:
             out.append(((), rule, bindings))
             if first:

@@ -198,7 +198,7 @@ def infer(pi: ProofTerm, rs: RuleSet) -> Sequent:
             if type(head) is Symbol:
                 n = len(done) - head.arity
                 sources, targets = zip(*done[n:])
-                done[n:] = [(App(head, sources), App(head, targets))]
+                done[n:] = [(App._unchecked(head, sources), App._unchecked(head, targets))]
             else:
                 n = len(done) - len(head.params)
                 sources, targets = zip(*done[n:])

@@ -35,7 +35,8 @@ from .terms import (
     Term,
     TreeNode,
     _instantiate,
-    _match,
+    _program,
+    _run,
     parse_term_tokens,
     print_tree,
     tree_node,
@@ -178,7 +179,7 @@ def eval_strategy(
         kind = type(s)
         if kind is RuleRef:
             rule = rs.lookup(s.label)
-            bindings = _match(rule.lhs, t)
+            bindings = _run(rule.program, t)
             r = STK if bindings is None else Value(_instantiate(bindings, rule.rhs))
         elif kind in _FIRST_OPERAND:
             if kind is Try and stack and type(stack[-1][0]) is Try:
@@ -236,10 +237,11 @@ def eval_strategy(
 
 def check_invariant(g: Term, t: Term) -> bool:
     """True iff some subterm of `t`, tried in preorder, matches the pattern `g`."""
+    program = _program(g)
     stack = [t]
     while stack:
         sub = stack.pop()
-        if _match(g, sub) is not None:
+        if _run(program, sub) is not None:
             return True
         if type(sub) is App:
             stack += reversed(sub.args)

@@ -235,6 +235,16 @@ class App(TreeNode):
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "_hash", hash((symbol.name, args)))
 
+    @classmethod
+    def _unchecked(cls, symbol: Symbol, args: tuple) -> App:
+        """The `App(symbol, args)` of a tuple `args` known to hold
+        `symbol.arity` terms: nothing is checked or converted."""
+        node = object.__new__(cls)
+        _set_symbol(node, symbol)
+        _set_args(node, args)
+        _set_hash(node, hash((symbol.name, args)))
+        return node
+
     def __eq__(self, other) -> bool:
         # Written by hand, on an explicit stack of argument tuples, so that
         # the depth of a term is not bounded by the recursion limit.
@@ -271,6 +281,9 @@ class App(TreeNode):
     def __str__(self) -> str:
         return print_term(self)
 
+
+# The slots' own setters, which the frozen `__setattr__` does not guard.
+_set_symbol, _set_args, _set_hash = App.symbol.__set__, App.args.__set__, App._hash.__set__
 
 Term = Var | App
 
@@ -415,7 +428,7 @@ def _replace(t: Term, path: tuple, s: Term, table=None) -> Term:
             raise InvalidPosition(f"no position {Position(path[depth:])} in {cur}")
         spine.append(cur)
         cur = cur.args[i - 1]
-    make = App if table is None else table.app
+    make = App._unchecked if table is None else table.app
     for node, i in zip(reversed(spine), reversed(path)):
         s = make(node.symbol, node.args[: i - 1] + (s,) + node.args[i:])
     return s
@@ -435,28 +448,56 @@ def match(pattern: Term, subject: Term) -> Substitution | None:
 
     Returns None when no such substitution exists.  Variables of the subject
     are treated as constants; repeated pattern variables must map to
-    identical subterms.
+    identical subterms.  Compiled per call; a `Rule` compiles its lhs once.
     """
-    bindings = _match(pattern, subject)
+    bindings = _run(_program(pattern), subject)
     return None if bindings is None else Substitution.of(bindings)
 
 
-def _match(pattern: Term, subject: Term) -> dict | None:
-    """The bindings `match` finds, as a plain dict of names to terms, or None."""
-    bindings: dict[str, Term] = {}
-    stack = [(pattern, subject)]
+def _program(pattern: Term) -> tuple:
+    """`pattern` compiled to the match program `_run` runs: `(name, arity,
+    tests, binds)`.  The subject must be an application of a symbol of that
+    `name` and `arity`, whose arguments are register 0.  A test `(reg, i,
+    name, arity)` requires the same of the `i`-th term of register `reg`
+    and makes its arguments the next register; a binding `(var, reg, i)`
+    binds `var` to that term, which must equal any earlier binding of
+    `var`.  A variable pattern has `name` None and binds the whole subject.
+    """
+    if type(pattern) is Var:
+        return None, 0, (), ((pattern.name, None, None),)
+    tests, binds = [], []
+    stack = [(0, pattern)]
     while stack:
-        p, s = stack.pop()
-        if isinstance(p, Var):
-            bound = bindings.get(p.name)
-            if bound is None:
-                bindings[p.name] = s
-            elif bound != s:
-                return None
-        else:
-            if not isinstance(s, App) or (s.symbol is not p.symbol and s.symbol != p.symbol):
-                return None
-            stack.extend(zip(p.args, s.args))
+        reg, node = stack.pop()
+        for i, arg in enumerate(node.args):
+            if type(arg) is Var:
+                binds.append((arg.name, reg, i))
+            else:
+                tests.append((reg, i, arg.symbol.name, arg.symbol.arity))
+                stack.append((len(tests), arg))
+    return pattern.symbol.name, pattern.symbol.arity, tuple(tests), tuple(binds)
+
+
+def _run(program: tuple, subject: Term) -> dict | None:
+    """The bindings, as a dict of names to terms, under which the pattern
+    compiled to `program` is `subject`, or None.  Symbols are compared by
+    name and arity, so equal symbols need not be identical."""
+    name, arity, tests, binds = program
+    if type(subject) is not App or (sym := subject.symbol).name != name or sym.arity != arity:
+        # Only a variable pattern, with no root symbol, binds any subject.
+        return None if name is not None else {binds[0][0]: subject}
+    regs = [subject.args]
+    for reg, i, name, arity in tests:
+        node = regs[reg][i]
+        if type(node) is not App or (sym := node.symbol).name != name or sym.arity != arity:
+            return None
+        regs.append(node.args)
+    bindings = {}
+    for var, reg, i in binds:
+        value = regs[reg][i]
+        bound = bindings.setdefault(var, value)
+        if bound is not value and bound != value:
+            return None
     return bindings
 
 
@@ -480,7 +521,7 @@ def _instantiate(bindings: dict, t: Term, table=None) -> Term:
             return bindings.get(t.name, t)
         if not t.args:
             return t
-        make, leaf = App, None
+        make, leaf = App._unchecked, None
     else:
         make, leaf = table.app, table.leaf
     done = []  # images of the finished subterms, in post-order
@@ -536,7 +577,7 @@ def parse_term_tokens(lexer: Lexer, sig: Signature, i: int, reserved=()) -> tupl
                 raise lexer.error(f"{name!r} is a rule label, not a variable", head)
             return Var(name)
         lexer.check_arity(head, sym.arity, args)
-        return App(sym, tuple(args or ()))
+        return App._unchecked(sym, tuple(args or ()))
 
     def operand(i: int) -> tuple:
         return application(lexer, i, "a term", build, None)

@@ -4,7 +4,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import termstrat.ars
@@ -296,13 +296,19 @@ class TestBuiltinFiring:
     bindings found; a strategy made of their chooser alone replays each
     label through `apply_step`.  The two must agree step for step."""
 
-    @given(data=st.data())
+    @given(
+        name=st.sampled_from(["rex", "peano", "TOWER", "CYCLE", "PAR", "DUO"]),
+        make=st.sampled_from([all_steps, innermost, rightmost_innermost]),
+        seed=st.integers(0, 2**32),
+        depth=st.integers(1, 4),
+    )
+    # h(h(a,g(b)),h(g(b),g(a))): a run of 10 steps, and billions of
+    # derivations of length 12 under all_steps.
+    @example(name="PAR", make=all_steps, seed=0, depth=4)
     @settings(max_examples=150, deadline=None)
-    def test_fires_what_replay_gives(self, rex, peano, data):
-        th = data.draw(st.sampled_from([rex, peano, TOWER, CYCLE, PAR, DUO]))
-        make = data.draw(st.sampled_from([all_steps, innermost, rightmost_innermost]))
-        rng = random.Random(data.draw(st.integers(0, 2**32)))
-        term = random_ground_term(rng, th.signature, data.draw(st.integers(1, 4)))
+    def test_fires_what_replay_gives(self, rex, peano, name, make, seed, depth):
+        th = {"rex": rex, "peano": peano}.get(name) or globals()[name]
+        term = random_ground_term(random.Random(seed), th.signature, depth)
         zeta = make(th.rules)
         replay = IntensionalStrategy(zeta.choose, True, th.rules)
         steps = run_length(replay, term, 60)
@@ -312,8 +318,26 @@ class TestBuiltinFiring:
             want = [apply_step(d.target, lab, th.rules) for lab in zeta.sorted_choice(tr)]
             assert fired == want
             assert [step.label for step in fired] == zeta.sorted_choice(tr)
-        for fuel in range(steps + 3):
+        for fuel in range(min(steps + 3, 4)):
             assert extension(zeta, term, fuel) == extension(replay, term, fuel)
+        # Past fuel 3 the sets can grow exponentially.  Both strategies are
+        # memoryless, so each set is fixed by the steps each distinct term
+        # expands to: the walk's own expansion (its table's redexes, fired)
+        # must equal the replay's, in order, at every term reachable within
+        # the largest fuel, which checks every fuel at once.
+        table, walk = _Table(zeta), Extension(zeta)._walk
+        level, reached = [term], {term}
+        for _ in range(steps + 3):
+            later = []
+            for u in level:
+                want = replay._steps(traced(u))
+                assert [step for _, step in walk(table.intern(u), 1, None, table)] == want
+                for step in want:
+                    if step.target not in reached:
+                        reached.add(step.target)
+                        later.append(step.target)
+            level = later
+        for fuel in range(steps + 3):
             assert nf_outcome(zeta, term, fuel) == nf_outcome(replay, term, fuel)
 
     @given(data=st.data())
@@ -590,6 +614,23 @@ class TestNormalForms:
         got = normal_forms_under(rightmost_innermost(peano.rules), term, 10 * n)
         assert got == {t(peano, "s(" * 2 * n + "0" + ")" * 2 * n)}
         assert match_calls[0] == 2 * n + 1
+
+    def test_rightmost_innermost_builds_no_checked_node(self, peano, monkeypatch):
+        # Every node the pass builds has its symbol's arity by construction,
+        # so none goes through the checks of `App.__init__`.
+        num = "s(" * 50 + "0" + ")" * 50
+        term, want = t(peano, f"plus({num},{num})"), t(peano, "s(" * 100 + "0" + ")" * 100)
+        calls, real = [0], App.__init__
+
+        def counted(self, *args):
+            calls[0] += 1
+            real(self, *args)
+
+        monkeypatch.setattr(App, "__init__", counted)
+        assert normal_forms_under(rightmost_innermost(peano.rules), term, 500) == {want}
+        assert calls[0] == 0
+        App(term.symbol, term.args)
+        assert calls[0] == 1
 
     def test_rightmost_innermost_cycle_found_early(self, match_calls):
         # plus(a,b) -ab-> plus(b,b) -comm-> plus(b,b): the pass stops when the

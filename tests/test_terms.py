@@ -5,7 +5,7 @@ import itertools
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from termstrat import (
@@ -30,6 +30,7 @@ from termstrat import (
     subterms,
     variables,
 )
+from gen import naive_match
 
 
 def t(rex, text):
@@ -157,6 +158,17 @@ class TestConstruction:
             assert back is not term and back == term and hash(back) == hash(term)
             assert print_term(back) == text
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_unchecked_app_is_the_checked_one(self, rex, data):
+        term = data.draw(term_exprs(rex.signature))
+        assume(type(term) is App)
+        node = App._unchecked(term.symbol, term.args)
+        assert type(node) is App and node is not term
+        assert node == term and hash(node) == hash(term)
+        for back in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node)):
+            assert back is not node and back == node and hash(back) == hash(node)
+
     def test_signature_rejects_conflicting_redeclaration(self):
         sig = Signature([Symbol("f", 1)])
         sig.add(Symbol("f", 1))
@@ -270,6 +282,7 @@ class TestMatch:
         pattern = App(Symbol("f", 1), (Var("x"),))
         assert match(pattern, App(Symbol("f", 1), (a,))) == Substitution.of({"x": a})
         assert match(pattern, App(Symbol("g", 1), (a,))) is None
+        assert match(pattern, App(Symbol("f", 2), (a, a))) is None
 
     def test_subject_vars_are_rigid(self, rex):
         assert match(t(rex, "a"), Var("x")) is None
@@ -288,6 +301,38 @@ class TestMatch:
         sigma = match(pattern, subject)
         assert sigma is not None
         assert apply_subst(sigma, pattern) == subject
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_naive_match(self, rex, data):
+        # Patterns may be nonlinear or a variable; subjects may be open, and
+        # are half the time an instance of the pattern, so that both
+        # outcomes are common.  An instance is read back from its text, so
+        # the occurrences of a repeated variable are equal, not identical.
+        pattern = data.draw(term_exprs(rex.signature))
+        if data.draw(st.booleans()):
+            subject = data.draw(term_exprs(rex.signature, var_names=("x", "z")))
+        else:
+            binding = {
+                v: data.draw(term_exprs(rex.signature, var_names=("x", "z")))
+                for v in variables(pattern)
+            }
+            subject = t(rex, print_term(apply_subst(Substitution.of(binding), pattern)))
+        want = naive_match(pattern, subject)
+        assert match(pattern, subject) == (None if want is None else Substitution.of(want))
+
+    def test_depth_ten_thousand(self, rex):
+        # Pattern and subject 10^4 deep, at the default recursion limit; the
+        # nonlinear pattern compares two equal 10^4-deep subterms.
+        deep = lambda n, leaf: "f(" * n + leaf + ")" * n
+        pattern = t(rex, deep(10_000, "h(x,x)"))
+        assert match(pattern, t(rex, deep(10_000, "h(a,a)"))) == Substitution.of({"x": t(rex, "a")})
+        assert match(pattern, t(rex, deep(10_000, "h(a,b)"))) is None
+        assert match(pattern, t(rex, deep(9_999, "h(a,a)"))) is None
+        a, b = deep(10_000, "a"), deep(10_000, "b")
+        want = Substitution.of({"x": t(rex, a)})
+        assert match(t(rex, "h(x,x)"), t(rex, f"h({a},{a})")) == want
+        assert match(t(rex, "h(x,x)"), t(rex, f"h({a},{b})")) is None
 
     def test_most_generality_exhaustive_small_scale(self):
         sig = Signature(
