@@ -17,7 +17,7 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
-from operator import itemgetter
+from operator import is_not, itemgetter
 
 from .errors import ComposeError, Fuel
 from .rules import (
@@ -32,7 +32,7 @@ from .rules import (
     _shown_step,
     apply_step,
 )
-from .terms import App, Term, Var, _instantiate, _run, print_term
+from .terms import App, Term, Var, _build_program, _instantiate, _run, print_term
 
 
 @dataclass(frozen=True)
@@ -358,12 +358,15 @@ class _Table:
         self._texts: dict[int, str] = {}  # id(node) -> its text, or "" if too long
         self._long: dict[int, str] = {}  # id(node) -> its text, too long, once asked for
 
-    def app(self, symbol, args: tuple) -> App:
-        """The table's node for `App(symbol, args)`, whose args are its nodes."""
+    def app(self, symbol, args: tuple, like: App | None = None) -> App:
+        """The table's node for `App(symbol, args)`, whose args are its nodes.
+        A new one is `like` itself when `like` already has these args."""
         key = (symbol.name, *map(id, args))
         node = self._nodes.get(key)
         if node is None:
-            node = self._nodes[key] = App._unchecked(symbol, args)
+            if like is None or any(map(is_not, args, like.args)):
+                like = App._unchecked(symbol, args)
+            node = self._nodes[key] = like
         return node
 
     def leaf(self, t: Term) -> Term:
@@ -373,7 +376,7 @@ class _Table:
 
     def intern(self, t: Term) -> Term:
         """The table's node equal to `t`; the nodes of `t` it lacks join it."""
-        return _instantiate({}, t, self)
+        return _instantiate({}, _build_program(t), self)
 
     def redexes(self, t: Term) -> list:
         """The redexes `(path, rule, bindings)` the strategy allows at `t`, a

@@ -10,12 +10,13 @@ input.  No positions are kept; a token's `line:col` is worked out from the
 text only when it is asked for, which in practice means an error.
 
 Every grammar is read by `parse_tree`, one loop over a stack of open frames,
-so nesting depth is bounded by memory, not by the recursion limit.  Every
-reader, the line-oriented theory reader included, indexes `tokens`: it takes
-the index of its first token and returns the index after what it read.
-`expect` and `name` check one token, and the error methods report at an
-index.  `application` reads `head` or opens `head(arg, ...)`, and
-`check_arity` reports a wrong argument count at the head's line and column.
+so nesting depth is bounded by memory, not by the recursion limit.  It reads
+every application, `head` or `head(arg, ...)`, itself, with one call of the
+grammar's `build` per node.  Every reader, the line-oriented theory reader
+included, indexes `tokens`: it takes the index of its first token and
+returns the index after what it read.  `expect` and `name` check one token,
+and the error methods report at an index.  `check_arity` reports a wrong
+argument count at the head's line and column.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ _TOKEN_RE = re.compile(
     r"\s*(?:\#[^\n]*\s*)*([A-Za-z][A-Za-z0-9_]*|[0-9]+|=>|[(),;.:=/]|.+)?", re.DOTALL
 )
 _STARTS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789(),;.:=/")
+# The tokens that are not names or numerals, the end of input included.
+_PUNCTUATION = frozenset(("=>", *"(),;.:=/", ""))
 
 
 class Lexer:
@@ -90,26 +93,52 @@ class Lexer:
             raise self.error(message, head, ParseArityError)
 
 
-def parse_tree(lexer: Lexer, operand, i: int) -> tuple:
+def parse_tree(lexer: Lexer, build, what: str, i: int, operand=None) -> tuple:
     """Read one tree from token `i` by a loop over a stack of open frames.
 
-    A frame is a tuple `(read, build, head, sep, close, args)`: `read` reads
-    its operands, separated by `sep` tokens; after the last one the `close`
-    token, if any, is expected, and `build(head, args)` makes the node.
-    `operand(i)`, like `read`, reads from token `i` and returns a node or
-    the frame it opened, and the index after what it read; a `read` of None
-    is `operand`, so that no reader refers to itself and a parse leaves no
-    reference cycle behind.  Returns the tree and the index after it.
+    An application, `head`, `head()` or `head(arg, ...)`, is read here, by
+    the one loop every grammar shares: its head is a name or a numeral, and
+    `build(head, args)`, the only call it makes per application, makes its
+    node from the head's index and the list of its arguments, or None for
+    `args` when no parentheses follow the head.  `build` checks the count.
+    Where no application starts, the error names the tree as `what`.
+
+    `operand(i)`, if given, reads the grammar's own tokens first: it
+    returns a node, a frame it opened, or None to leave an application at
+    `i` to this loop, and the index after what it read.  A frame is a tuple
+    `(read, build, head, sep, close, args)`: `read` reads its operands,
+    separated by `sep` tokens; after the last one the `close` token, if
+    any, is expected, and `build(head, args)` makes the node.  A `read` of
+    None is `operand`, so that no reader refers to itself and a parse
+    leaves no reference cycle behind; an application's arguments are read
+    that way.  Returns the tree and the index after it.
     """
     tokens = lexer.tokens
     frames: list[tuple] = []
     while True:
-        t, i = ((frames[-1][0] if frames else None) or operand)(i)
-        if type(t) is tuple:
-            frames.append(t)
-            continue
+        read = (frames[-1][0] if frames else None) or operand
+        if read is None:
+            t = None
+        else:
+            t, i = read(i)
+            if type(t) is tuple:
+                frames.append(t)
+                continue
+        if t is None:  # an application
+            if tokens[i] in _PUNCTUATION:
+                raise lexer.expected(i, what)
+            if tokens[i + 1] != "(":
+                t = build(i, None)
+                i += 1
+            elif tokens[i + 2] != ")":
+                frames.append((None, build, i, ",", ")", []))
+                i += 2
+                continue
+            else:
+                t = build(i, [])
+                i += 3
         while frames:  # hand `t` to the open frames until one wants another operand
-            _, build, head, sep, close, args = frames[-1]
+            _, make, head, sep, close, args = frames[-1]
             args.append(t)
             if tokens[i] == sep:
                 i += 1
@@ -119,28 +148,9 @@ def parse_tree(lexer: Lexer, operand, i: int) -> tuple:
                     raise lexer.expected(i, f"'{close}'")
                 i += 1
             frames.pop()
-            t = build(head, args)
+            t = make(head, args)
         else:
             return t, i
-
-
-def application(lexer: Lexer, i: int, what: str, build, read, parens: bool = False):
-    """Read `head` at token `i`, or `head(` and open the frame of its arguments.
-
-    `build(i, None)` makes a head without parentheses, told apart from
-    `head()`; `parens` requires them.  Returns the node or frame and the
-    index after it.
-    """
-    tokens = lexer.tokens
-    if not tokens[i][:1].isalnum():
-        raise lexer.expected(i, what)
-    if tokens[i + 1] != "(":
-        if parens:
-            raise lexer.expected(i + 1, "'('")
-        return build(i, None), i + 1
-    if tokens[i + 2] == ")":
-        return build(i, []), i + 3
-    return (read, build, i, ",", ")", []), i + 2
 
 
 def _describe(text: str) -> str:

@@ -33,7 +33,7 @@ from .errors import (
     TermstratError,
     UnknownSymbol,
 )
-from .lex import Lexer, application, parse_tree
+from .lex import Lexer, parse_tree
 from .rules import Rule, RuleSet, StepLabel, rewrite_at
 from .terms import (
     App,
@@ -43,6 +43,7 @@ from .terms import (
     Term,
     TreeNode,
     Var,
+    _build_program,
     _instantiate,
     print_term,
     print_tree,
@@ -145,7 +146,9 @@ def infer(pi: ProofTerm, rs: RuleSet) -> Sequent:
     The walk keeps plain (source, target) pairs and builds one `Sequent`
     at the end.  A replacement without arguments is looked up once per
     label, and equal rule sides are shared for the call, so on a chain of
-    such replacements the middle terms compare by identity.  A proof that
+    such replacements the middle terms compare by identity.  A rule's right
+    side is built by its build program, and its left side is compiled per
+    replacement, as `apply_subst` compiles its term.  A proof that
     shares a node in several places (as `parse_proof`'s leaves do) is
     checked once per place it occurs.
     """
@@ -204,8 +207,8 @@ def infer(pi: ProofTerm, rs: RuleSet) -> Sequent:
                 sources, targets = zip(*done[n:])
                 done[n:] = [
                     (
-                        _instantiate(dict(zip(head.params, sources)), head.lhs),
-                        _instantiate(dict(zip(head.params, targets)), head.rhs),
+                        _instantiate(dict(zip(head.params, sources)), _build_program(head.lhs)),
+                        _instantiate(dict(zip(head.params, targets)), head.build),
                     )
                 ]
     return Sequent(*done[0])
@@ -377,9 +380,9 @@ def parse_proof(text: str, rs: RuleSet, sig: Signature) -> ProofTerm:
             return (None, _join, None, None, ")", []), i + 1
         if name in rules and name in symbols:
             raise lexer.error(f"{name!r} is both a rule label and a symbol", i, AmbiguousIdent)
-        return application(lexer, i, "a proof term", build, None)
+        return None, i  # an application, which `parse_tree` reads
 
-    pi, i = parse_tree(lexer, chain, 0)
+    pi, i = parse_tree(lexer, build, "a proof term", 0, chain)
     lexer.expect_end(i)
     return pi
 

@@ -20,6 +20,7 @@ from .terms import (
     Term,
     TreeNode,
     Var,
+    _build_program,
     _instantiate,
     _program,
     _replace,
@@ -38,8 +39,10 @@ class Rule:
 
     `params` is the variable tuple of the left-hand side in first-occurrence
     order; it fixes the argument order used by proof-term replacements.
-    `program`, set when the rule is built and not a field, is the lhs
-    compiled into the match program (`terms._program`) every match runs.
+    `program` and `build`, set when the rule is built and not fields, are
+    the lhs compiled into the match program (`terms._program`) every match
+    runs, and the rhs compiled into the build program
+    (`terms._build_program`) every instance of it is built by.
     """
 
     label: str
@@ -49,6 +52,7 @@ class Rule:
 
     def __post_init__(self):
         object.__setattr__(self, "program", _program(self.lhs))
+        object.__setattr__(self, "build", _build_program(self.rhs))
 
     @classmethod
     def make(cls, label: str, lhs: Term, rhs: Term) -> Rule:
@@ -160,7 +164,7 @@ def _fire(t: Term, path: tuple, rule: Rule, bindings: dict, label=None, table=No
     every other node is shared with `t`, so the target is the table's node
     for it, found by identity.  No label or step is made.
     """
-    rhs = _instantiate(bindings, rule.rhs, table)
+    rhs = _instantiate(bindings, rule.build, table)
     if table is not None:
         return _replace(t, path, rhs, table)
     if label is None:
@@ -242,23 +246,27 @@ def _normalize_rightmost_innermost(t: Term, rs: RuleSet, fuel: int, single=False
     or raises FuelExhausted with `_out_of_fuel(t)`, or returns None when the
     search must decide.  A node's children are normalized right to left, then
     the rules indexed under its head are tried in declaration order; a rewrite
-    puts the right-hand side back on the stack, with the bindings its match
-    found, to be normalized in its place.  This fires exactly the steps that
-    repeating `_redexes(innermost=True, backward=True)` from the root would
-    fire.  The right-hand side is instantiated as it is walked: a variable
-    stands for its bound subterm, which is normal, since every proper
-    subterm of an innermost redex is, and each other node is built once,
-    from its normalized children.  Nodes known to be normal are remembered
-    by identity, so no subterm is walked twice; a node of the input is
-    rebuilt only when one of its children changed.
+    puts a cursor on the stack that runs the rule's build program (see
+    `terms._build_program`) with the bindings its match found, so the instance
+    is normalized in its place as it is built.  This fires exactly the steps
+    that repeating `_redexes(innermost=True, backward=True)` from the root
+    would fire.  A variable op stands for its bound subterm, which is normal,
+    since every proper subterm of an innermost redex is; each other node of
+    the instance is built once, from its normalized children, and the rules
+    under its head are tried at once.  A cursor that meets a match is put back
+    under the new rule's cursor, to resume from the next op.  Nodes known to
+    be normal are remembered by identity, so no subterm of the input is
+    walked twice; a node of the input is rebuilt only when one of its
+    children changed.
 
     While a position is being normalized nothing outside it changes, so a
     redex that comes back at the same position means the whole term came
     back: the run cycles, and the term before step `now` is the one before
     step `first`, the step at which the redex was first seen there.  Each
-    position that has been rewritten keeps its redexes and those steps.
-    The search closes the cycle with no normal form after a step `j`,
-    `first <= j <= now - 1`, so the pass sees it by step `2 * fuel` when
+    position that has been rewritten keeps its redexes and those steps, in
+    the `seen` dict that goes with the root, the last op, of each program
+    run there.  The search closes the cycle with no normal form after a step
+    `j`, `first <= j <= now - 1`, so the pass sees it by step `2 * fuel` when
     `j <= fuel`; only for a fuel in that window does the search decide.  A
     run that ends never revisits a term, so the search would reach its
     normal form alone after the same number of steps.
@@ -267,74 +275,97 @@ def _normalize_rightmost_innermost(t: Term, rs: RuleSet, fuel: int, single=False
     redex is not the only innermost one of the whole term.  It is the only
     one when no later rule matches at its node and every subterm still
     waiting on the stack is normal: those are the unvisited left siblings
-    along the path, while the ancestors have a redex below them and the
+    along the path, nodes of the input or whole subtrees left in the cursors
+    (see `_waiting`), while the ancestors have a redex below them and the
     finished subterms are normal.  The waiting subterms are walked with the
-    memo of normal nodes, so each node is still walked once.  Only the
-    stack above `checked`, its height at the last step, needs walking:
-    below it sit ancestors and subterms found normal then, and popping
-    those pushes nothing until the next step.
+    memo of normal nodes, so each node of the input is still walked once.
+    Only the stack above `checked`, its height at the last step, needs
+    walking: below it sit ancestors, subterms found normal then, and
+    cursors whose waiting subtrees were, and popping those pushes nothing
+    new until the next step.
     """
     by_head = rs._by_head
+    make = App._unchecked
     budget = 2 * max(fuel, 0)
     normal: dict[int, Term] = {}  # id -> node; holding the node keeps its id unique
     done: list[Term] = []  # normal forms of finished subterms, right to left
-    # Subterms to normalize: a bare term, or `[pattern, seen, bindings]` for
-    # the instance of part of a right-hand side; `seen` maps each redex at
-    # the position of a rewritten one to the step it was first seen at, and
-    # is None elsewhere.  `(node, seen)` sits under `node`'s children.
+    # Work to do: a node of the input, to normalize; `(node,)` under its
+    # children, to rebuild it from theirs; or a cursor `[build, pc, bindings,
+    # seen]` that runs a right-hand side's build program from op `pc`.
+    # `seen` maps each redex at the position of a rewritten one to the step
+    # it was first seen at, and is None elsewhere.
     stack: list = [t]
     steps = 0
     checked = 0  # with `single`: no redex waits in stack[:checked]
     while stack:
         item = stack.pop()
         kind = type(item)
-        if kind is tuple:
-            node, seen = item
+        if kind is list:
+            ops, pc, bindings, seen = item
+            end = len(ops)
+            while pc < end:
+                op = ops[pc]
+                pc += 1
+                if type(op) is Var:
+                    done.append(bindings.get(op.name, op))  # a subterm of the redex: normal
+                    continue
+                n = len(op.args)
+                if n == 1:
+                    node = make(op.symbol, (done.pop(),))
+                elif n:
+                    kids = done[-n:]
+                    del done[-n:]
+                    kids.reverse()
+                    node = make(op.symbol, tuple(kids))
+                elif id(op) in normal:
+                    done.append(op)
+                    continue
+                else:
+                    node = op
+                rules = by_head.get(node.symbol.name)
+                if rules:
+                    break
+                normal[id(node)] = node
+                done.append(node)
+            else:
+                continue
+            if pc < end:  # the cursor resumes once this node is normal
+                item[1] = pc
+                stack.append(item)
+                seen = None
+        elif kind is tuple:
+            node = item[0]
             n = len(node.args)
             if n == 1:
                 kid = done.pop()
                 if kid is not node.args[0]:
-                    node = App._unchecked(node.symbol, (kid,))
+                    node = make(node.symbol, (kid,))
             else:
                 kids = done[-n:]
                 del done[-n:]
                 kids.reverse()
                 if any(map(is_not, kids, node.args)):
-                    node = App._unchecked(node.symbol, tuple(kids))
+                    node = make(node.symbol, tuple(kids))
+            rules, seen = by_head.get(node.symbol.name, ()), None
         else:
-            if kind is list:
-                node, seen, bindings = item
-                if type(node) is Var:
-                    done.append(bindings.get(node.name, node))  # a subterm of the redex: normal
-                    continue
-                if node.args:  # never looked up in `normal`: it stands for its instance
-                    stack.append((node, seen))
-                    stack += [[arg, None, bindings] for arg in node.args]
-                    continue
-            else:
-                node, seen = item, None
+            node = item
             if id(node) in normal or type(node) is Var:
                 done.append(node)
                 continue
             if node.args:
-                stack.append((node, seen))
+                stack.append((node,))
                 stack += node.args
                 continue
-        rules = by_head.get(node.symbol.name, ())
+            rules, seen = by_head.get(node.symbol.name, ()), None
         for rule in rules:
             bindings = _match(rule.program, node)
             if bindings is not None:
                 if single:
-                    later = rules[rules.index(rule) + 1 :]
-                    if any(_match(r.program, node) is not None for r in later):
-                        return None
-                    # A waiting part of a right-hand side, at no position seen
-                    # yet, is built here, so that the memo covers its nodes.
-                    stack[checked:] = [
-                        _instantiate(w[2], w[0]) if type(w) is list else w for w in stack[checked:]
-                    ]
-                    waiting = [w for w in stack[checked:] if type(w) is not tuple]
-                    if not _all_normal(waiting, by_head, normal):
+                    for later in rules[rules.index(rule) + 1 :]:
+                        if _match(later.program, node) is not None:
+                            return None
+                    waiting = _waiting(stack[checked:])
+                    if waiting and not _all_normal(waiting, by_head, normal):
                         return None
                     checked = len(stack)
                 steps += 1
@@ -346,7 +377,7 @@ def _normalize_rightmost_innermost(t: Term, rs: RuleSet, fuel: int, single=False
                     if fuel < first:
                         raise FuelExhausted(_out_of_fuel(t))
                     return set() if steps - 1 <= fuel else None
-                stack.append([rule.rhs, seen, bindings])
+                stack.append([rule.build, 0, bindings, seen])
                 break
         else:
             normal[id(node)] = node
@@ -354,6 +385,35 @@ def _normalize_rightmost_innermost(t: Term, rs: RuleSet, fuel: int, single=False
     if steps > max(fuel, 0):
         raise FuelExhausted(_out_of_fuel(t))
     return {done[0]}
+
+
+def _waiting(items: list) -> list:
+    """The subterms that wait in `items`, a slice of the pass's stack: each
+    node of the input, and each whole subtree left in a cursor's program
+    that a node holding an earlier value takes, built from the cursor's
+    bindings.  Such a subtree is built again when the cursor reaches it."""
+    out = []
+    for item in items:
+        kind = type(item)
+        if kind is list:
+            ops, pc, bindings, _ = item
+            if pc == len(ops) - 1:  # only the root is left, which takes every value
+                continue
+            # per value made from op `pc` on: the span of ops that built it
+            # whole, or None when it holds a value made before `pc`
+            spans: list = []
+            for k in range(pc, len(ops)):
+                n = 0 if type(ops[k]) is Var else len(ops[k].args)
+                taken = spans[max(len(spans) - n, 0) :]
+                del spans[max(len(spans) - n, 0) :]
+                if len(taken) == n and None not in taken:
+                    spans.append((taken[0][0] if n else k, k + 1))
+                else:
+                    out += (_instantiate(bindings, ops[a:b]) for a, b in filter(None, taken))
+                    spans.append(None)
+        elif kind is not tuple:
+            out.append(item)
+    return out
 
 
 def _out_of_fuel(t: Term) -> str:

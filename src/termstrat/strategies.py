@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 
 from .errors import Fuel, UnboundSVar
-from .lex import Lexer, application, parse_tree
+from .lex import Lexer, parse_tree
 from .rules import RuleSet
 from .terms import (
     App,
@@ -180,7 +180,7 @@ def eval_strategy(
         if kind is RuleRef:
             rule = rs.lookup(s.label)
             bindings = _run(rule.program, t)
-            r = STK if bindings is None else Value(_instantiate(bindings, rule.rhs))
+            r = STK if bindings is None else Value(_instantiate(bindings, rule.build))
         elif kind in _FIRST_OPERAND:
             if kind is Try and stack and type(stack[-1][0]) is Try:
                 stack.pop()  # the try below could only ever pass a value on
@@ -330,9 +330,12 @@ def parse_strategy_tokens(
             i = lexer.expect(i + 2, ".")
             bound[var] += 1
             return (None, close_mu, var, None, None, []), i
-        if arity:
-            read = None if ctor is not Occurs else read_term
-            return application(lexer, i, "a strategy", build, read, parens=True)
+        if arity:  # an application, which `parse_tree` reads, but for an `occurs` pattern
+            if tokens[i + 1] != "(":
+                raise lexer.expected(i + 1, "'('")
+            if ctor is Occurs and tokens[i + 2] != ")":
+                return (read_term, build, i, ",", ")", []), i + 2
+            return None, i
         if not name[:1].isalpha():
             raise lexer.expected(i, "a strategy")
         if ctor is not None:
@@ -347,7 +350,7 @@ def parse_strategy_tokens(
             f"{name!r} is not a bound variable, rule label, or named strategy", i, UnboundSVar
         )
 
-    return parse_tree(lexer, operand, i)
+    return parse_tree(lexer, build, "a strategy", i, operand)
 
 
 def print_strategy(s: StrategyExpr) -> str:

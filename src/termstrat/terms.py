@@ -21,7 +21,7 @@ from itertools import starmap, zip_longest
 from operator import eq
 
 from .errors import ArityError, InvalidPosition, UnknownSymbol
-from .lex import Lexer, application, parse_tree
+from .lex import Lexer, parse_tree
 
 NAME_RE = re.compile(r"(?:[A-Za-z][A-Za-z0-9_]*|[0-9]+)\Z")
 VAR_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -502,46 +502,69 @@ def _run(program: tuple, subject: Term) -> dict | None:
 
 
 def apply_subst(subst: Substitution, t: Term) -> Term:
-    """Simultaneously replace every bound variable; unbound ones stay as-is."""
-    return _instantiate(dict(subst.pairs), t)
+    """Simultaneously replace every bound variable; unbound ones stay as-is.
+    Compiled per call; a `Rule` compiles its rhs once."""
+    return _instantiate(dict(subst.pairs), _build_program(t))
 
 
-def _instantiate(bindings: dict, t: Term, table=None) -> Term:
-    """`apply_subst` for the bindings as a plain dict of names to terms.
+def _build_program(t: Term) -> tuple:
+    """`t` compiled to the build program `_instantiate` and the bottom-up
+    pass run: the nodes of `t` in post-order, children right to left.
 
-    A post-order walk on an explicit stack, so the depth of `t` is not
-    bounded by the interpreter's recursion limit.  With a `table` (an
-    `ars._Table`) that holds every bound term, each node of the image, the
-    constants and unbound variables of `t` included, is the table's node
-    for it: the image is a node of the table, and shares every node the
-    table already holds.
+    Each op makes one value.  A variable makes its binding, a constant
+    itself, and an application with arguments a new node of its symbol,
+    from the last `len(args)` values made, the rightmost made first.
     """
-    if table is None:
-        if type(t) is Var:
-            return bindings.get(t.name, t)
-        if not t.args:
-            return t
-        make, leaf = App._unchecked, None
-    else:
-        make, leaf = table.app, table.leaf
-    done = []  # images of the finished subterms, in post-order
-    # Subterms to visit; under an application's arguments lies its symbol,
-    # which rebuilds it from their images once they are done.
+    ops = []
     stack = [t]
-    while stack:
+    while stack:  # preorder, children left to right: the program reversed
         node = stack.pop()
-        if type(node) is Symbol:
-            n = len(done) - node.arity
-            done[n:] = [make(node, tuple(done[n:]))]
-        elif type(node) is Var:
-            image = bindings.get(node.name)
+        ops.append(node)
+        if type(node) is App:
+            stack += reversed(node.args)
+    ops.reverse()
+    return tuple(ops)
+
+
+def _instantiate(bindings: dict, build: tuple, table=None) -> Term:
+    """The term the build program `build` (see `_build_program`) makes
+    under `bindings`, a plain dict of names to terms; an unbound variable
+    stays itself.
+
+    One loop over the program, so the depth of the term is not bounded by
+    the interpreter's recursion limit.  With a `table` (an `ars._Table`)
+    that holds every bound term, each node of the image, the constants and
+    unbound variables included, is the table's node for it: the image is a
+    node of the table, and shares every node the table already holds.  A
+    compiled node the table lacks joins it as itself when its arguments
+    did, so `_Table.intern` keeps the nodes of the term it is given.
+    """
+    if table is None and len(build) == 1:  # a variable or a constant, as `u : f(x) => x`
+        op = build[0]
+        return bindings.get(op.name, op) if type(op) is Var else op
+    done = []  # the values made so far
+    for op in build:
+        if type(op) is Var:
+            image = bindings.get(op.name)
             if image is None:
-                image = node if leaf is None else leaf(node)
+                image = op if table is None else table.leaf(op)
             done.append(image)
-        elif node.args:
-            stack += (node.symbol, *reversed(node.args))
+            continue
+        n = len(op.args)
+        if not n:
+            done.append(op if table is None else table.leaf(op))
+            continue
+        if n == 1:
+            kids = (done.pop(),)
         else:
-            done.append(node if leaf is None else leaf(node))
+            kids = done[-n:]
+            del done[-n:]
+            kids.reverse()
+            kids = tuple(kids)
+        if table is None:
+            done.append(App._unchecked(op.symbol, kids))
+        else:
+            done.append(table.app(op.symbol, kids, op))
     return done[0]
 
 
@@ -556,13 +579,16 @@ def parse_term_tokens(lexer: Lexer, sig: Signature, i: int, reserved=()) -> tupl
     """Parse one term from token `i`; returns it and the index after it.
 
     Read by `parse_tree`, so the depth of the term is not bounded by the
-    interpreter's recursion limit.  Each application is checked against
-    `sig` when its closing parenthesis has been read.  A variable must not
-    be spelled like a name `in reserved`: a reader that holds a theory
-    passes its rule labels, which a proof reads as rules.
+    interpreter's recursion limit, with one call of `build` per node.  Each
+    application is checked against `sig` when its closing parenthesis has
+    been read.  Each constant is built once per read and shared wherever it
+    occurs.  A variable must not be spelled like a name `in reserved`: a
+    reader that holds a theory passes its rule labels, which a proof reads
+    as rules.
     """
     tokens = lexer.tokens
     symbols = sig._by_name
+    constants: dict[str, App] = {}  # name -> the one node of that constant in this read
 
     def build(head: int, args: list | None) -> Term:
         # None for `args` means no parentheses followed the head.
@@ -576,13 +602,17 @@ def parse_term_tokens(lexer: Lexer, sig: Signature, i: int, reserved=()) -> tupl
             if name in reserved:
                 raise lexer.error(f"{name!r} is a rule label, not a variable", head)
             return Var(name)
-        lexer.check_arity(head, sym.arity, args)
-        return App._unchecked(sym, tuple(args or ()))
+        if args:
+            if len(args) == sym.arity:
+                return App._unchecked(sym, tuple(args))
+        elif not sym.arity:
+            node = constants.get(name)
+            if node is None:
+                node = constants[name] = App._unchecked(sym, ())
+            return node
+        lexer.check_arity(head, sym.arity, args)  # raises: the count is wrong
 
-    def operand(i: int) -> tuple:
-        return application(lexer, i, "a term", build, None)
-
-    return parse_tree(lexer, operand, i)
+    return parse_tree(lexer, build, "a term", i)
 
 
 def print_term(t: Term) -> str:
@@ -596,6 +626,8 @@ def print_tree(root, expand) -> str:
     Built on an explicit stack of items, so depth is not bounded by the
     interpreter's recursion limit.  Strings and terms print as themselves;
     another node is replaced by `expand(node)`, its items in print order.
+    A run of unary applications, such as a numeral, prints its heads at
+    once and leaves one item for all its closing parentheses.
     """
     parts = []
     stack = [root]
@@ -605,16 +637,25 @@ def print_tree(root, expand) -> str:
         if kind is str:
             parts.append(item)
         elif kind is App:
-            if not item.args:
-                parts.append(item.symbol.name)
-                continue
-            parts.append(item.symbol.name + "(")
-            stack.append(")")
             args = item.args
-            for k in range(len(args) - 1, 0, -1):
-                stack.append(args[k])
-                stack.append(",")
-            stack.append(args[0])
+            if len(args) == 1:
+                k = 0
+                while True:
+                    parts.append(item.symbol.name + "(")
+                    k += 1
+                    item = args[0]
+                    if type(item) is not App or len(args := item.args) != 1:
+                        break
+                stack += (")" * k, item)
+            elif not args:
+                parts.append(item.symbol.name)
+            else:
+                parts.append(item.symbol.name + "(")
+                stack.append(")")
+                for k in range(len(args) - 1, 0, -1):
+                    stack.append(args[k])
+                    stack.append(",")
+                stack.append(args[0])
         elif kind is Var:
             parts.append(item.name)
         else:

@@ -57,3 +57,21 @@ def peano() -> Theory:
 @pytest.fixture(scope="session")
 def chain() -> Theory:
     return load_theory(CHAIN_TEXT)
+
+
+@pytest.fixture
+def unchecked_builds(monkeypatch):
+    """A one-item list counting the nodes built by `App._unchecked`, which
+    builds every node whose arity is known: the readers', the pass's and
+    instantiation's."""
+    from termstrat import App
+
+    calls = [0]
+    real = App._unchecked.__func__
+
+    def counted(cls, symbol, args):
+        calls[0] += 1
+        return real(cls, symbol, args)
+
+    monkeypatch.setattr(App, "_unchecked", classmethod(counted))
+    return calls

@@ -29,12 +29,14 @@ from termstrat import (
     ProofTerm,
     Repeat,
     Repl,
+    Rule,
     RuleRef,
     RuleSet,
     SVar,
     Seq,
     Signature,
     StrategyExpr,
+    Substitution,
     Term,
     Trans,
     Try,
@@ -42,6 +44,8 @@ from termstrat import (
     Var,
     all_redexes,
     apply_step,
+    apply_subst,
+    variables,
 )
 
 
@@ -93,6 +97,46 @@ def random_pattern(
             for _ in range(sym.arity)
         ),
     )
+
+
+def random_rules(rng: random.Random, sig: Signature, count: int) -> RuleSet:
+    """`count` rules over `sig`, labeled r0, r1, ...: each left side drawn
+    by `random_pattern`, and each right side, over the variables of its
+    left, of one of five shapes: a variable, a constant, a nested pattern,
+    a pair of one variable twice, or a pair of two left sides instantiated,
+    so that both siblings hold redexes, drawn twice as often as each other
+    shape.  `sig` needs a binary symbol."""
+    consts = [s for s in symbols_of(sig) if s.arity == 0]
+    pair = next(s for s in symbols_of(sig) if s.arity == 2)
+    lhss = []
+    while len(lhss) < count:
+        lhs = random_pattern(rng, sig, rng.randint(1, 2))
+        if type(lhs) is not Var:
+            lhss.append(lhs)
+
+    def leaf(params):  # one of the variables, or a constant when there are none
+        return Var(rng.choice(params)) if params else App(rng.choice(consts))
+
+    rules = []
+    for k, lhs in enumerate(lhss):
+        params = variables(lhs)
+        shape = rng.choice(["variable", "constant", "nested", "repeated", "siblings", "siblings"])
+        if shape == "variable":
+            rhs = leaf(params)
+        elif shape == "constant":
+            rhs = App(rng.choice(consts))
+        elif shape == "nested":
+            rhs = random_pattern(rng, sig, 3, params) if params else random_ground_term(rng, sig, 3)
+        elif shape == "repeated":
+            x = leaf(params)
+            rhs = App(pair, (x, x))
+        else:
+            rhs = App(pair, tuple(
+                apply_subst(Substitution.of({v: leaf(params) for v in variables(p)}), p)
+                for p in (rng.choice(lhss), rng.choice(lhss))
+            ))
+        rules.append(Rule.make(f"r{k}", lhs, rhs))
+    return RuleSet(rules)
 
 
 def random_strategy(

@@ -43,7 +43,7 @@ from termstrat import (
     rightmost_innermost,
     traced,
 )
-from gen import brute_derivations, random_ground_term
+from gen import brute_derivations, random_ground_term, random_rules
 from termstrat.ars import _Table, _tuple_path
 
 
@@ -696,6 +696,43 @@ class TestNormalForms:
         for fuel in range(-1, steps + 3):
             assert nf_outcome(fast, term, fuel) == nf_outcome(search, term, fuel)
 
+    @pytest.mark.parametrize("make", [rightmost_innermost, innermost], ids=["rightmost", "innermost"])
+    @pytest.mark.parametrize("n", [50, 500])
+    def test_pass_builds_two_nodes_per_step(self, peano, unchecked_builds, make, n):
+        # Each of the n `ps` steps builds s(plus(x,y)), two nodes; the final
+        # `p0` step builds none, and no node of the input is rebuilt.
+        num = "s(" * n + "0" + ")" * n
+        term, want = t(peano, f"plus({num},{num})"), t(peano, "s(" * 2 * n + "0" + ")" * 2 * n)
+        unchecked_builds[0] = 0
+        assert normal_forms_under(make(peano.rules), term, 10 * n) == {want}
+        assert unchecked_builds[0] == 2 * n
+
+    @pytest.mark.parametrize("make", [rightmost_innermost, innermost], ids=["rightmost", "innermost"])
+    @pytest.mark.parametrize("fuel", range(8))
+    def test_sibling_redexes_in_a_right_hand_side(self, make, fuel):
+        # k -top-> h(b,g(g(g(a)))) -ga->^3 h(b,a) -bb-> h(b,a): the right
+        # sibling's three steps come before the left one's, which repeats
+        # the term at step 5.  Building the instance left to right would
+        # fire bb at step 2.
+        zeta, term = make(SIBLINGS.rules), parse_term("k", SIBLINGS.signature)
+        search = IntensionalStrategy(zeta.choose, True, SIBLINGS.rules)
+        assert nf_outcome(zeta, term, fuel) == nf_outcome(search, term, fuel)
+
+    @given(seed=st.integers(0, 2**32), count=st.integers(3, 5), depth=st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_random_rules_agree_with_search(self, seed, count, depth):
+        # Right sides of every shape, siblings that both hold redexes
+        # included, which the fixed theories above lack.
+        rng = random.Random(seed)
+        rules = random_rules(rng, SIBLINGS.signature, count)
+        term = random_ground_term(rng, SIBLINGS.signature, depth)
+        for make in (rightmost_innermost, innermost):
+            fast = make(rules)
+            search = IntensionalStrategy(fast.choose, True, rules)
+            steps = run_length(search, term, 30)
+            for fuel in range(-1, steps + 3):
+                assert nf_outcome(fast, term, fuel) == nf_outcome(search, term, fuel)
+
     @pytest.mark.parametrize("n", [25, 50])
     def test_innermost_single_path_runs_the_pass(self, peano, match_calls, step_calls, n):
         # Each step is the only innermost redex, so the pass runs to the end:
@@ -772,6 +809,11 @@ CYCLE = load_theory("sig a/0 b/0 plus/2\nrule comm : plus(x,y) => plus(y,x)\nrul
 BACK = load_theory("sig a/0 b/0 f/1\nrule ab : a => b\nrule back : f(b) => f(a)\n")
 TWIN = load_theory("sig a/0 b/0 f/1\nrule r1 : f(x) => a\nrule r2 : f(x) => b\n")
 PAR = load_theory("sig a/0 b/0 g/1 h/2\nrule ab : a => b\nrule split : g(x) => h(a,a)\n")
+# A right-hand side whose two siblings both hold redexes.
+SIBLINGS = load_theory(
+    "sig k/0 a/0 b/0 g/1 h/2\n"
+    "rule top : k => h(b,g(g(g(a))))\nrule ga : g(a) => a\nrule bb : b => b\n"
+)
 # Two rules at one node, declared against the order of their labels.
 DUO = load_theory("sig a/0 b/0 f/1\nrule rb : f(x) => b\nrule ra : f(x) => a\nrule ab : a => b\n")
 LOOP = load_theory(

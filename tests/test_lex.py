@@ -293,6 +293,12 @@ ERROR_TABLE = [
     ("strategy", "try(occurs(g(r2)))", ParseError, "'r2' is a rule label, not a variable", (1, 14)),
     ("theory term", "f(r1)", ParseError, "'r1' is a rule label, not a variable", (1, 3)),
     ("theory term", "h(x,\n  g(r3))", ParseError, "'r3' is a rule label, not a variable", (2, 5)),
+    # An application is read by `parse_tree` alone; the count is checked at the close.
+    ("term", "f()", ParseArityError, "f expects 1 argument(s), got 0", (1, 1)),
+    ("term", "h(a,)", ParseError, "expected a term, found ')'", (1, 5)),
+    ("term", ")", ParseError, "expected a term, found ')'", (1, 1)),
+    ("term", "g(a,", ParseError, "expected a term, found end of input", (1, 5)),
+    ("term", "f(a)(b)", ParseError, "unexpected trailing input: '('", (1, 5)),
 ]
 
 

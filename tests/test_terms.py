@@ -462,6 +462,24 @@ class TestParsePrint:
         assert print_term(t(rex, "f(g(a))")) == "f(g(a))"
         assert print_term(t(rex, "h(a,b)")) == "h(a,b)"
         assert print_term(t(rex, "h(f(x),h(a,g(b)))")) == "h(f(x),h(a,g(b)))"
+        # runs of unary nodes, each closed by one item, over a variable or a pair
+        assert print_term(t(rex, "g(f(x))")) == "g(f(x))"
+        assert print_term(t(rex, "f(g(h(f(f(a)),g(x))))")) == "f(g(h(f(f(a)),g(x))))"
+
+    @pytest.mark.parametrize("n", [50, 500])
+    def test_constants_are_shared_per_read(self, rex, unchecked_builds, n):
+        # plus, the 2n s nodes and one 0: a constant is built once per read
+        # and shared, so a table that interns the term keeps its nodes.
+        num = "s(" * n + "0" + ")" * n
+        term = t(rex, f"plus({num},{num})")
+        assert unchecked_builds[0] == 2 * n + 2
+        zeros = []
+        for arg in term.args:
+            while arg.args:
+                arg = arg.args[0]
+            zeros.append(arg)
+        assert zeros[0] is zeros[1] == t(rex, "0")
+        assert t(rex, "0") is not zeros[0]  # shared within one read only
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
