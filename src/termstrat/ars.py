@@ -32,7 +32,7 @@ from .rules import (
     _shown_step,
     apply_step,
 )
-from .terms import App, Term, Var, _build_program, _instantiate, _run, print_term
+from .terms import App, Term, Var, _build_program, _instantiate, print_term
 
 
 @dataclass(frozen=True)
@@ -252,11 +252,10 @@ class Extension(AbstractStrategy):
 
         A built-in strategy is walked through one `_Table`, `table` (which
         then holds `source`) or a new one.  The table holds each distinct
-        term and subterm the walk meets as one node, with that node's
-        redexes and text, each computed once from its children's.  A node
-        is expanded once, and its steps fire through the table, so each
-        builds only the rewritten path and the right-hand side's new
-        nodes, and its target is found by identity.
+        term and subterm the walk meets as one node.  A node is expanded
+        once, from one `find` walk of its term, and its steps fire through
+        the table, so each builds only the rewritten path and the
+        right-hand side's new nodes, and its target is found by identity.
         `view(t, path, rule, bindings, target)` sees each fired step; by
         default it is the `RewriteStep`.  Any other strategy takes no
         `view`: its steps come from `_steps`, in its order, and are their
@@ -267,18 +266,17 @@ class Extension(AbstractStrategy):
         zeta = self.zeta
         if isinstance(zeta, _Builtin):
             if table is None:
-                table = _Table(zeta)
+                table = _Table()
                 source = table.intern(source)
             root = [source, None]
             nodes = {id(source): root}  # id(term) -> its node
             view = view or _step
+            find = zeta.find
 
             def expand(node: list) -> list[tuple]:
                 t = node[0]
                 kids = []
-                for path, rule, bindings in table.redexes(t):
-                    if path:
-                        path = _tuple_path(path)
+                for path, rule, bindings in find(t):
                     target = _fire(t, path, rule, bindings, None, table)
                     kid = nodes.get(id(target))
                     if kid is None:
@@ -325,36 +323,20 @@ def _step(t: Term, path: tuple, rule, bindings: dict, target: Term) -> RewriteSt
     return RewriteStep(t, _label(path, rule, bindings), target)
 
 
-def _tuple_path(path) -> tuple:
-    """The tuple of child indices of a `_Table` path: `()` at the node
-    itself, and `(i, rest)` for `rest` in its i-th child."""
-    out = []
-    while path:
-        i, path = path
-        out.append(i)
-    return tuple(out)
-
-
 class _Table:
-    """One node per distinct term that one walk meets, with its redexes and
-    its text.
+    """One node per distinct term that one walk meets, with its text.
 
     A node is keyed by its symbol's name and its children's identities, a
     variable by its name apart from every symbol, so the terms built
     through the table (`app`, `leaf`, `intern`) are one object per value, and a
     memo keyed by node is sound for the table's life: the table holds
-    every node it made, so no id is reused.  A node's redexes are the
-    strategy's `at` of the node and its children's redexes, and its text
-    is `print_term`'s, built from its children's texts; each is computed
-    once, when first asked for, children first.  Paths are relative to
-    the node, as nested pairs (see `_tuple_path`), so a parent adds one
-    step to each of its children's redexes in constant time.
+    every node it made, so no id is reused.  A node's text is
+    `print_term`'s, built once from its children's texts, when first asked
+    for, children first.
     """
 
-    def __init__(self, zeta: _Builtin):
-        self._at = zeta.at
+    def __init__(self):
         self._nodes: dict = {}  # key -> node
-        self._redexes: dict[int, list] = {}  # id(node) -> its redexes
         self._texts: dict[int, str] = {}  # id(node) -> its text, or "" if too long
         self._long: dict[int, str] = {}  # id(node) -> its text, too long, once asked for
 
@@ -377,30 +359,6 @@ class _Table:
     def intern(self, t: Term) -> Term:
         """The table's node equal to `t`; the nodes of `t` it lacks join it."""
         return _instantiate({}, _build_program(t), self)
-
-    def redexes(self, t: Term) -> list:
-        """The redexes `(path, rule, bindings)` the strategy allows at `t`, a
-        node of the table, in its `find` order.  They are kept for `t` and
-        for each of its subterms that lacked them, computed children first."""
-        memo = self._redexes
-        got = memo.get(id(t))
-        if got is not None:
-            return got
-        at = self._at
-        stack = [t]
-        while stack:
-            node = stack[-1]
-            if id(node) in memo:  # a child that occurs twice
-                stack.pop()
-            elif type(node) is Var:
-                memo[id(stack.pop())] = []
-            else:
-                below = [memo.get(id(arg)) for arg in node.args]
-                if None in below:
-                    stack += [arg for arg, got in zip(node.args, below) if got is None]
-                else:
-                    memo[id(stack.pop())] = at(node, below)
-        return memo[id(t)]
 
     def text(self, t: Term) -> str:
         """`print_term(t)` for `t`, a node of the table.  It is kept for `t`
@@ -457,11 +415,7 @@ def memoryless(f: Callable[[Term], frozenset], rs: RuleSet) -> IntensionalStrate
 
 def all_steps(rs: RuleSet) -> IntensionalStrategy:
     """The universal strategy: every redex is allowed at every point."""
-
-    def at(node: Term, below: list) -> list:
-        return sorted(_matches(node, rs), key=_redex_key) + _shifted(below)
-
-    return _Builtin.make(rs, lambda t: sorted(_redexes(t, rs), key=_redex_key), at)
+    return _Builtin.make(rs, lambda t: sorted(_redexes(t, rs), key=_redex_key))
 
 
 def innermost(rs: RuleSet) -> IntensionalStrategy:
@@ -473,12 +427,8 @@ def innermost(rs: RuleSet) -> IntensionalStrategy:
     is a single redex, `normal_forms_under` runs it as rightmost-innermost
     in one pass.
     """
-
-    def at(node: Term, below: list) -> list:
-        return _shifted(below) or sorted(_matches(node, rs), key=_redex_key)
-
     return _Builtin.make(
-        rs, lambda t: sorted(_redexes(t, rs, innermost=True), key=_redex_key), at, single=True
+        rs, lambda t: sorted(_redexes(t, rs, innermost=True), key=_redex_key), single=True
     )
 
 
@@ -491,18 +441,9 @@ def rightmost_innermost(rs: RuleSet) -> IntensionalStrategy:
     runs right to left, so the first redex it meets is that one, and the
     walk stops there.
     """
-
-    def at(node: Term, below: list) -> list:
-        for i in range(len(below), 0, -1):
-            if below[i - 1]:
-                (path, rule, bindings), = below[i - 1]
-                return [((i, path), rule, bindings)]
-        return _matches(node, rs, first=True)
-
     return _Builtin.make(
         rs,
         lambda t: list(islice(_redexes(t, rs, innermost=True, backward=True), 1)),
-        at,
         single=False,
     )
 
@@ -512,37 +453,13 @@ def _redex_key(redex: tuple):
     return redex[0], redex[1].label
 
 
-def _matches(node: Term, rs: RuleSet, first: bool = False) -> list:
-    """The redexes `((), rule, bindings)` at `node` itself: the rules indexed
-    under its head that match it, in declaration order, or the first one."""
-    out = []
-    for rule in rs._by_head.get(node.symbol.name, ()):
-        bindings = _run(rule.program, node)
-        if bindings is not None:
-            out.append(((), rule, bindings))
-            if first:
-                break
-    return out
-
-
-def _shifted(below: list) -> list:
-    """The redexes of a node's children, `below`, in child order, with
-    paths from the node."""
-    return [
-        ((i, path), rule, bindings)
-        for i, redexes in enumerate(below, 1)
-        for path, rule, bindings in redexes
-    ]
-
-
 @dataclass(frozen=True, eq=False)
 class _Builtin(IntensionalStrategy):
     """The strategies `all_steps`, `innermost` and `rightmost_innermost`
     return.  `find(t)` lists the redexes `(path, rule, bindings)` allowed
-    at `t` in `sorted_choice` order; `choose` labels them, and `_steps`
-    fires them with the bindings their match found, with no second match.
-    `at(node, below)` lists the same redexes of an application node from
-    its children's lists `below`, with paths as a `_Table` keeps them.
+    at `t` in `sorted_choice` order, from one walk of `t`; `choose` labels
+    them, `_steps` fires them with the bindings their match found, with no
+    second match, and `Extension._walk` fires them through its `_Table`.
 
     `normal_forms_under` runs the last two in one bottom-up pass instead of
     step by step; `single` is None for `all_steps`, and True for
@@ -551,15 +468,14 @@ class _Builtin(IntensionalStrategy):
     """
 
     find: Callable[[Term], list] = None
-    at: Callable[[Term, list], list] = None
     single: bool | None = None
 
     @classmethod
-    def make(cls, rs: RuleSet, find, at, single=None) -> _Builtin:
+    def make(cls, rs: RuleSet, find, single=None) -> _Builtin:
         def choose(tr: TracedObject) -> frozenset:
             return frozenset(_label(*redex) for redex in find(tr.current))
 
-        return cls(choose, True, rs, find, at, single)
+        return cls(choose, True, rs, find, single)
 
     def _steps(self, tr: TracedObject) -> list[RewriteStep]:
         t = tr.current

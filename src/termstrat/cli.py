@@ -127,7 +127,7 @@ def cmd_derive(ns, th: Theory) -> int:
     if ns.depth < 0:
         raise ParseError("--depth must be nonnegative")
     zeta = _INTENSIONAL[ns.intensional](th.rules)
-    table = _Table(zeta)  # each distinct subterm's text is built once, here
+    table = _Table()  # each distinct subterm's text is built once, here
     show = table.text
 
     def view(t, path, rule, bindings, target):

@@ -45,8 +45,16 @@ from termstrat import (
     all_redexes,
     apply_step,
     apply_subst,
+    load_theory,
     variables,
 )
+
+# Small theories whose redexes overlap, sit side by side or tie at a node.
+TOWER = load_theory("sig a/0 f/1\nrule u : f(x) => x\n")
+CYCLE = load_theory("sig a/0 b/0 plus/2\nrule comm : plus(x,y) => plus(y,x)\nrule ab : a => b\n")
+PAR = load_theory("sig a/0 b/0 g/1 h/2\nrule ab : a => b\nrule split : g(x) => h(a,a)\n")
+# Two rules at one node, declared against the order of their labels.
+DUO = load_theory("sig a/0 b/0 f/1\nrule rb : f(x) => b\nrule ra : f(x) => a\nrule ab : a => b\n")
 
 
 def symbols_of(sig: Signature) -> list:

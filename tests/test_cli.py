@@ -385,51 +385,61 @@ class TestDeriveOutput:
     def test_renders_each_distinct_step_once(self, capsys, monkeypatch, json_flag):
         # 4025 derivations, but 133 distinct fired steps (see test_ars.py)
         # and 60 distinct terms: the walk expands each term a derivation
-        # shorter than 10 reaches, and reaches no other.  Its table builds
-        # the redexes and the text of each of their distinct subterms once;
-        # the 18 terms among the bindings `--json` prints are among those 187.
+        # shorter than 10 reaches, and reaches no other, from one redex walk
+        # of it.  Its table builds the text of each of their distinct
+        # subterms once; the 18 terms among the bindings `--json` prints
+        # are among those 187.
         path = REPO / "docs" / "peano.trs"
         th = load_theory(path.read_text(encoding="utf-8"))
         expanded = bfs_reachable(parse_term(PEANO_10, th.signature), th.rules, 9)
         subterms = {u for t in expanded for u in naive_subterms(t)}
-        calls = {"_step_text": 0, "redexes": 0}
+        calls = {"_step_text": 0, "_redexes": 0}
 
         def counter(owner, name):
             real = getattr(owner, name)
 
-            def counted(*args):
+            def counted(*args, **kwargs):
                 calls[name] += 1
-                return real(*args)
+                return real(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
 
         counter(termstrat.cli, "_step_text")
-        counter(termstrat.ars._Table, "redexes")
+        counter(termstrat.ars, "_redexes")
         tables = spy_tables(monkeypatch)
         argv = ["derive", "--file", str(path), "--term", PEANO_10]
         assert main([*argv, "--depth", "10", *json_flag]) == 0
         out = capsys.readouterr().out
         assert len(json.loads(out) if json_flag else out.splitlines()) == 4025
         assert calls["_step_text"] == 133
-        assert calls["redexes"] == len(expanded) == 60
+        assert calls["_redexes"] == len(expanded) == 60
         (table,) = tables
-        assert len(table._texts) == len(table._redexes) == len(subterms) == 187
+        assert len(table._texts) == len(subterms) == 187
 
     def test_deep_term_costs_its_rewritten_paths(self, capsys, monkeypatch):
         # Each step of `plus(s^k(0),s^k(0))` rewrites at the root or just
         # below: the nodes the walk adds past the source's k + 2 do not
-        # grow with k, and neither do the redex lists or texts it builds.
+        # grow with k, and neither do the texts it builds.  It expands the
+        # three terms before the last one by a redex walk each, and each
+        # walk visits the whole term, so that work does grow with k.
         path = str(REPO / "docs" / "peano.trs")
+        real = termstrat.ars._redexes
         added = []
         for k in (50, 500):
+            walks = [0]
+
+            def counted(*args, **kwargs):
+                walks[0] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(termstrat.ars, "_redexes", counted)
             tables = spy_tables(monkeypatch)
             num = "s(" * k + "0" + ")" * k
             assert main(["derive", "--file", path, "--term", f"plus({num},{num})", "--depth", "3"]) == 0
             assert len(capsys.readouterr().out.splitlines()) == 4
             (table,) = tables
-            counts = (len(table._nodes), len(table._redexes), len(table._texts))
-            added.append(tuple(count - (k + 2) for count in counts))
-        assert added[0] == added[1] == (9, 5, 9)
+            added.append((len(table._nodes) - (k + 2), len(table._texts) - (k + 2), walks[0]))
+        assert added[0] == added[1] == (9, 9, 3)
 
 
 def spy_tables(monkeypatch) -> list:
@@ -437,8 +447,8 @@ def spy_tables(monkeypatch) -> list:
     tables = []
 
     class Table(termstrat.ars._Table):
-        def __init__(self, zeta):
-            super().__init__(zeta)
+        def __init__(self):
+            super().__init__()
             tables.append(self)
 
     monkeypatch.setattr(termstrat.cli, "_Table", Table)
@@ -612,15 +622,21 @@ def run_main(argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
+def free_names(th) -> list:
+    """The names x, y and z, less any spelled like a rule label or a symbol
+    of `th`, so that a term read against `th` takes them as variables."""
+    return [v for v in ("x", "y", "z") if v not in th.rules and v not in th.signature]
+
+
 def random_checkable(rng, th):
-    """A proof for `th`: a random tree, the proof of a derivation, or a `;`
-    chain of argument-free replacements and constants."""
+    """A proof for `th`: a random tree, the proof of a derivation from an
+    open term, or a `;` chain of argument-free replacements and constants."""
     rs, sig = th.rules, th.signature
     kind = rng.choice(("tree", "derivation", "chain"))
     if kind == "tree":
         return random_proof(rng, rs, sig, 3)
     if kind == "derivation":
-        start = random_ground_term(rng, sig, 3)
+        start = random_pattern(rng, sig, 3, free_names(th))
         return from_derivation(rng.choice(brute_derivations(start, rs, 3)), rs)
     leaves = [Repl(r.label) for r in rs if not r.params]
     leaves += [Embed(App(s)) for s in symbols_of(sig) if s.arity == 0]
@@ -651,7 +667,7 @@ class TestCheckProofAgainstReference:
                 draw = rng.random()
                 if draw < 0.4:
                     continue
-                term = end if draw < 0.7 else random_ground_term(rng, th.signature, 2)
+                term = end if draw < 0.7 else random_pattern(rng, th.signature, 3, free_names(th))
                 argv += [flag, print_term(term)]
                 wrong = wrong or term != end
         code, out, err = run_main(argv)
@@ -772,8 +788,7 @@ class TestTheoryViewsAgree:
             return
         th = load_theory(text)
         # An open term, with no variable spelled like a rule label.
-        names = [v for v in ("x", "y", "z") if v not in th.rules and v not in th.signature]
-        term = random_pattern(rng, th.signature, 3, names)
+        term = random_pattern(rng, th.signature, 3, free_names(th))
         shown = print_term(term)
         argv = ["derive", "--file", str(path), "--term", shown, "--depth", "1"]
         code, out, err = run_main(argv)

@@ -20,6 +20,7 @@ from termstrat import (
     Substitution,
     UnknownLabel,
     all_redexes,
+    all_steps,
     apply_step,
     innermost,
     apply_subst,
@@ -33,6 +34,10 @@ from termstrat import (
     traced,
 )
 from gen import (
+    CYCLE,
+    DUO,
+    PAR,
+    TOWER,
     check_deep_node,
     check_node_methods,
     ground_terms,
@@ -194,7 +199,7 @@ class TestRedexSelection:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_walk_agrees_with_scan(self, rex, peano, data):
-        th = data.draw(st.sampled_from([rex, peano]))
+        th = data.draw(st.sampled_from([rex, peano, TOWER, CYCLE, PAR, DUO]))
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
         depth = data.draw(st.integers(1, 6))
         if data.draw(st.booleans()):
@@ -205,12 +210,14 @@ class TestRedexSelection:
         # Rules added after the first query must be seen by later ones.
         split = data.draw(st.integers(0, len(rules)))
         rs = RuleSet(rules[:split])
-        inner, right = innermost(rs), rightmost_innermost(rs)
+        every, inner, right = all_steps(rs), innermost(rs), rightmost_innermost(rs)
         for known in (rules[:split], rules):
             for rule in known[len(rs):]:
                 rs.add(rule)
             want = scan_redexes(term, known)
             assert all_redexes(term, rs) == want
+            fired = [step.label for step in every._steps(traced(term))]
+            assert fired == sorted(want, key=lambda lab: (lab.position.path, lab.rule_label))
             assert inner.choose(traced(term)) == filter_innermost(want)
             assert right.choose(traced(term)) == pick_rightmost(want, known)
 
