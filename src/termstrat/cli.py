@@ -107,7 +107,7 @@ def cmd_eval(ns, th: Theory) -> int:
     term = _term(ns.term, th)
     strat = parse_strategy(ns.strategy, th.rules, th.signature, th.strategies)
     result = eval_strategy(strat, term, th.rules, ns.fuel)
-    if result == STK:
+    if result is STK:
         print("stk")
         return 1
     print(f"value: {print_term(result.term)}")

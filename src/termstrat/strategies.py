@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, fields
 
-from .errors import Fuel, UnboundSVar
+from .errors import Fuel, FuelExhausted, UnboundSVar
 from .lex import Lexer, parse_tree
 from .rules import RuleSet
 from .terms import (
@@ -154,10 +154,6 @@ STK = Stk()
 EvalResult = Value | Stk
 
 
-# The combinators that wait on their first operand, and its field.
-_FIRST_OPERAND = {Seq: "s1", First: "s1", Try: "s", Not: "s", IfTE: "cond"}
-
-
 def eval_strategy(
     s: StrategyExpr, t: Term, rs: RuleSet, fuel: int = 10000
 ) -> EvalResult:
@@ -165,36 +161,28 @@ def eval_strategy(
 
     Raises FuelExhausted when `fuel` combinator evaluations are not enough,
     UnknownLabel for a rule reference outside `rs`, and UnboundSVar for a
-    free recursion variable.
+    free recursion variable, each when the loop reaches it.
     """
-    spend = Fuel(fuel, "strategy evaluation ran out of fuel").spend
+    budget = Fuel(fuel, "strategy evaluation ran out of fuel")
+    rules = rs._by_label
     # The enclosing mus, innermost first, as a chain of (var, mu, enclosing)
     # tuples; the enclosing chain is also the one the mu was defined in.
     env = None
     # Frames (node, term, env): a node waiting on its first operand, with
     # the term and environment it was entered with.
     stack: list = []
+    # An outcome `r` is a term, or None for failure; the Value or STK is
+    # built when no frame is left.  Each turn does `budget.spend()` inline,
+    # then tests the node's kind in the order loops meet the kinds.
     while True:
-        spend()
+        if budget.left < 1:
+            raise FuelExhausted(budget.message)
+        budget.left -= 1
         kind = type(s)
         if kind is RuleRef:
-            rule = rs.lookup(s.label)
+            rule = rules.get(s.label) or rs.lookup(s.label)
             bindings = _run(rule.program, t)
-            r = STK if bindings is None else Value(_instantiate(bindings, rule.build))
-        elif kind in _FIRST_OPERAND:
-            if kind is Try and stack and type(stack[-1][0]) is Try:
-                stack.pop()  # the try below could only ever pass a value on
-            stack.append((s, t, env))
-            s = getattr(s, _FIRST_OPERAND[kind])
-            continue
-        elif kind is Repeat:
-            # No name the parser reads has a quote, so none captures X.
-            s = Mu("repeat'", Try(Seq(s.s, SVar("repeat'"))))
-            continue
-        elif kind is Mu:
-            env = (s.var, s, env)
-            s = s.body
-            continue
+            r = None if bindings is None else _instantiate(bindings, rule.build)
         elif kind is SVar:
             # Unfolding runs the body in the chain that starts at its binder.
             while env is not None and env[0] != s.var:
@@ -203,12 +191,38 @@ def eval_strategy(
                 raise UnboundSVar(f"strategy variable {s.var} is not bound")
             s = env[1].body
             continue
+        elif kind is Try:
+            if stack and type(stack[-1][0]) is Try:
+                stack.pop()  # the try below could only ever pass a value on
+            stack.append((s, t, env))
+            s = s.s
+            continue
+        elif kind is Seq or kind is First:
+            stack.append((s, t, env))
+            s = s.s1
+            continue
+        elif kind is Mu:
+            env = (s.var, s, env)
+            s = s.body
+            continue
+        elif kind is Repeat:
+            # No name the parser reads has a quote, so none captures X.
+            s = Mu("repeat'", Try(Seq(s.s, SVar("repeat'"))))
+            continue
+        elif kind is Not:
+            stack.append((s, t, env))
+            s = s.s
+            continue
+        elif kind is IfTE:
+            stack.append((s, t, env))
+            s = s.cond
+            continue
         elif kind is Id:
-            r = Value(t)
+            r = t
         elif kind is Fail:
-            r = STK
+            r = None
         elif kind is Occurs:
-            r = Value(t) if check_invariant(s.pattern, t) else STK
+            r = t if check_invariant(s.pattern, t) else None
         else:
             raise TypeError(f"not a strategy expression: {s!r}")
         # Hand the outcome `r` to the frames until one has an operand to run.
@@ -216,23 +230,23 @@ def eval_strategy(
             node, t, env = stack.pop()
             kind = type(node)
             if kind is Seq:
-                if r is not STK:
-                    s, t = node.s2, r.term
-                    break
-            elif kind is First:
-                if r is STK:
-                    s = node.s2
+                if r is not None:
+                    s, t = node.s2, r
                     break
             elif kind is Try:
-                if r is STK:
-                    r = Value(t)
+                if r is None:
+                    r = t
+            elif kind is First:
+                if r is None:
+                    s = node.s2
+                    break
             elif kind is Not:
-                r = Value(t) if r is STK else STK
+                r = t if r is None else None
             else:  # IfTE
-                s = node.else_s if r is STK else node.then_s
+                s = node.else_s if r is None else node.then_s
                 break
         else:
-            return r
+            return STK if r is None else Value(r)
 
 
 def check_invariant(g: Term, t: Term) -> bool:

@@ -199,6 +199,45 @@ class TestRecursion:
             ev(rex, unwrap, term, fuel=spent - 1)
 
 
+class TestErrorsWhenReached:
+    """A bad operand raises only when the loop reaches it, after its turn's
+    unit is spent; an operand the loop never reaches raises nothing."""
+
+    NOT_A_STRATEGY = object()
+
+    def test_unreached_label(self, rex):
+        term = t(rex, "a")
+        assert ev(rex, First(Id(), RuleRef("zz")), term) == Value(term)
+
+    def test_reached_label(self, rex):
+        with pytest.raises(UnknownLabel, match="no rule labeled zz"):
+            ev(rex, Seq(Id(), RuleRef("zz")), t(rex, "a"), fuel=3)
+
+    @pytest.mark.parametrize("fuel", [1, 2])
+    def test_unit_spent_before_lookup(self, rex, fuel):
+        with pytest.raises(FuelExhausted, match="strategy evaluation ran out of fuel"):
+            ev(rex, Seq(Id(), RuleRef("zz")), t(rex, "a"), fuel=fuel)
+
+    def test_reached_variable(self, rex):
+        term = t(rex, "a")
+        assert ev(rex, First(Id(), SVar("X")), term) == Value(term)
+        with pytest.raises(FuelExhausted):
+            ev(rex, Seq(Id(), SVar("X")), term, fuel=2)
+        with pytest.raises(UnboundSVar, match="strategy variable X is not bound"):
+            ev(rex, Seq(Id(), SVar("X")), term, fuel=3)
+
+    def test_non_strategy_raises_after_its_unit(self, rex):
+        s = Seq(Id(), self.NOT_A_STRATEGY)
+        with pytest.raises(FuelExhausted):
+            ev(rex, s, t(rex, "a"), fuel=2)
+        with pytest.raises(TypeError, match="not a strategy expression"):
+            ev(rex, s, t(rex, "a"), fuel=3)
+
+    def test_unreached_non_strategy(self, rex):
+        term = t(rex, "a")
+        assert ev(rex, First(Id(), self.NOT_A_STRATEGY), term) == Value(term)
+
+
 class TestOccursAndIdioms:
     def test_check_invariant_nested(self, rex):
         assert check_invariant(t(rex, "g(x)"), t(rex, "f(g(a))"))
