@@ -17,7 +17,7 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
-from operator import is_not, itemgetter
+from operator import itemgetter
 
 from .errors import ComposeError, Fuel
 from .rules import (
@@ -32,7 +32,7 @@ from .rules import (
     _shown_step,
     apply_step,
 )
-from .terms import App, Term, Var, _build_program, _instantiate, print_term
+from .terms import Position, Term, print_term
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,7 @@ class Extension(AbstractStrategy):
             out.append(Derivation._unchecked(source, tuple(steps)))
         return set(out)
 
-    def _walk(self, source: Term, max_len: int, view=None, table=None):
+    def _walk(self, source: Term, max_len: int, view=None):
         """Walk the derivation tree from `source` depth first, in preorder.
 
         Yields (n, v) for each derivation of length 1 <= n <= max_len: `v`
@@ -250,26 +250,21 @@ class Extension(AbstractStrategy):
         sorted by `v` when a `view` is given.  One loop over a stack of
         child iterators walks every strategy.
 
-        A built-in strategy is walked through one `_Table`, `table` (which
-        then holds `source`) or a new one.  The table holds each distinct
-        term and subterm the walk meets as one node.  A node is expanded
-        once, from one `find` walk of its term, and its steps fire through
-        the table, so each builds only the rewritten path and the
-        right-hand side's new nodes, and its target is found by identity.
-        `view(t, path, rule, bindings, target)` sees each fired step; by
-        default it is the `RewriteStep`.  Any other strategy takes no
-        `view`: its steps come from `_steps`, in its order, and are their
-        own views.  A memoryless one has one node per distinct term, looked
-        up once per fired step; any other has a fresh node per prefix,
-        traced one pair per step.
+        A memoryless strategy has one node per distinct term, keyed by the
+        term's value and looked up once per fired step; any other has a
+        fresh node per prefix, traced one pair per step.  A built-in
+        strategy's node holds its term, and is expanded from one `find`
+        walk of it; `view(t, path, rule, bindings, target)` sees each fired
+        step, with the node's term as `target`, so the views of steps that
+        reach one term share its object.  By default the view is the
+        `RewriteStep`.  Any other strategy takes no `view`: its steps come
+        from `_steps`, in its order, and are their own views.
         """
         zeta = self.zeta
-        if isinstance(zeta, _Builtin):
-            if table is None:
-                table = _Table()
-                source = table.intern(source)
-            root = [source, None]
-            nodes = {id(source): root}  # id(term) -> its node
+        builtin = isinstance(zeta, _Builtin)
+        root = [source if builtin else traced(source), None]
+        nodes = {source: root} if zeta.memoryless else None  # term -> its node
+        if builtin:
             view = view or _step
             find = zeta.find
 
@@ -277,30 +272,28 @@ class Extension(AbstractStrategy):
                 t = node[0]
                 kids = []
                 for path, rule, bindings in find(t):
-                    target = _fire(t, path, rule, bindings, None, table)
-                    kid = nodes.get(id(target))
+                    target = _fire(t, Position._unchecked(path), rule, bindings)
+                    kid = nodes.get(target)
                     if kid is None:
-                        kid = nodes[id(target)] = [target, None]
-                    kids.append((view(t, path, rule, bindings, target), kid))
+                        kid = nodes[target] = [target, None]
+                    kids.append((view(t, path, rule, bindings, kid[0]), kid))
                 if view is not _step:
                     kids.sort(key=itemgetter(0))
                 node[1] = kids
                 return kids
         else:
             assert view is None, "only a built-in strategy's walk takes a view"
-            root = [traced(source), None]
-            terms = {source: root} if zeta.memoryless else None  # term -> its node
 
             def expand(node: list) -> list[tuple]:
                 tr = node[0]
                 kids = []
                 for step in zeta._steps(tr):
-                    if terms is None:
+                    if nodes is None:
                         kid = [TracedObject(tr.trace + ((tr.current, step.label),), step.target), None]
                     else:
-                        kid = terms.get(step.target)
+                        kid = nodes.get(step.target)
                         if kid is None:
-                            kid = terms[step.target] = [TracedObject((), step.target), None]
+                            kid = nodes[step.target] = [TracedObject((), step.target), None]
                     kids.append((step, kid))
                 node[1] = kids
                 return kids
@@ -321,81 +314,6 @@ class Extension(AbstractStrategy):
 def _step(t: Term, path: tuple, rule, bindings: dict, target: Term) -> RewriteStep:
     """The step a walk fired, labelled."""
     return RewriteStep(t, _label(path, rule, bindings), target)
-
-
-class _Table:
-    """One node per distinct term that one walk meets, with its text.
-
-    A node is keyed by its symbol's name and its children's identities, a
-    variable by its name apart from every symbol, so the terms built
-    through the table (`app`, `leaf`, `intern`) are one object per value, and a
-    memo keyed by node is sound for the table's life: the table holds
-    every node it made, so no id is reused.  A node's text is
-    `print_term`'s, built once from its children's texts, when first asked
-    for, children first.
-    """
-
-    def __init__(self):
-        self._nodes: dict = {}  # key -> node
-        self._texts: dict[int, str] = {}  # id(node) -> its text, or "" if too long
-        self._long: dict[int, str] = {}  # id(node) -> its text, too long, once asked for
-
-    def app(self, symbol, args: tuple, like: App | None = None) -> App:
-        """The table's node for `App(symbol, args)`, whose args are its nodes.
-        A new one is `like` itself when `like` already has these args."""
-        key = (symbol.name, *map(id, args))
-        node = self._nodes.get(key)
-        if node is None:
-            if like is None or any(map(is_not, args, like.args)):
-                like = App._unchecked(symbol, args)
-            node = self._nodes[key] = like
-        return node
-
-    def leaf(self, t: Term) -> Term:
-        """The table's node for `t`, a constant or a variable."""
-        key = (None, t.name) if type(t) is Var else (t.symbol.name,)
-        return self._nodes.setdefault(key, t)
-
-    def intern(self, t: Term) -> Term:
-        """The table's node equal to `t`; the nodes of `t` it lacks join it."""
-        return _instantiate({}, _build_program(t), self)
-
-    def text(self, t: Term) -> str:
-        """`print_term(t)` for `t`, a node of the table.  It is kept for `t`
-        and for each of its subterms that lacked it, built children first
-        from their texts.  A text longer than `_KEPT` characters is kept as
-        "", and printed whole and kept apart when first asked for, so the
-        texts of a deep term's subterms cost linear memory, not quadratic."""
-        texts = self._texts
-        got = texts.get(id(t))
-        if got is None:
-            stack = [t]
-            while stack:
-                node = stack[-1]
-                if id(node) in texts:  # a child that occurs twice
-                    stack.pop()
-                elif type(node) is Var:
-                    texts[id(stack.pop())] = node.name
-                else:
-                    kids = [texts.get(id(arg)) for arg in node.args]
-                    if None in kids:
-                        stack += [arg for arg, text in zip(node.args, kids) if text is None]
-                        continue
-                    text = f"{node.symbol.name}({','.join(kids)})" if kids else node.symbol.name
-                    long = "" in kids or len(text) > _KEPT
-                    texts[id(stack.pop())] = "" if long else text
-            got = texts[id(t)]
-        if not got:
-            got = self._long.get(id(t))
-            if got is None:
-                got = self._long[id(t)] = print_term(t)
-        return got
-
-
-# The longest text a `_Table` keeps.  The kept texts of a tower such as
-# `s(s(...))` total about `_KEPT ** 2 / 6` bytes: 2.8 MB at 4096, 45 MB at
-# 16384.  Terms whose texts all fit are built by joins alone.
-_KEPT = 4096
 
 
 def extension(zeta: IntensionalStrategy, a: Term, max_len: int) -> set:
@@ -458,8 +376,8 @@ class _Builtin(IntensionalStrategy):
     """The strategies `all_steps`, `innermost` and `rightmost_innermost`
     return.  `find(t)` lists the redexes `(path, rule, bindings)` allowed
     at `t` in `sorted_choice` order, from one walk of `t`; `choose` labels
-    them, `_steps` fires them with the bindings their match found, with no
-    second match, and `Extension._walk` fires them through its `_Table`.
+    them, and `_steps` and `Extension._walk` fire them with the bindings
+    their match found, with no second match.
 
     `normal_forms_under` runs the last two in one bottom-up pass instead of
     step by step; `single` is None for `all_steps`, and True for
@@ -479,7 +397,11 @@ class _Builtin(IntensionalStrategy):
 
     def _steps(self, tr: TracedObject) -> list[RewriteStep]:
         t = tr.current
-        return [_fire(t, path, rule, bindings) for path, rule, bindings in self.find(t)]
+        steps = []
+        for path, rule, bindings in self.find(t):
+            label = _label(path, rule, bindings)
+            steps.append(RewriteStep(t, label, _fire(t, label.position, rule, bindings)))
+        return steps
 
 
 def bounded(k: int, base: IntensionalStrategy) -> IntensionalStrategy:

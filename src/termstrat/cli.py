@@ -28,7 +28,6 @@ from .ars import (
     Extension,
     _step,
     _step_json,
-    _Table,
     all_steps,
     innermost,
     normal_forms_under,
@@ -127,8 +126,13 @@ def cmd_derive(ns, th: Theory) -> int:
     if ns.depth < 0:
         raise ParseError("--depth must be nonnegative")
     zeta = _INTENSIONAL[ns.intensional](th.rules)
-    table = _Table()  # each distinct subterm's text is built once, here
-    show = table.text
+    texts: dict = {}  # term -> print_term(term): each distinct term is printed once
+
+    def show(t) -> str:
+        text = texts.get(t)
+        if text is None:
+            text = texts[t] = print_term(t)
+        return text
 
     def view(t, path, rule, bindings, target):
         text = _step_text(_path_text(path), rule.label, show(target))
@@ -137,10 +141,9 @@ def cmd_derive(ns, th: Theory) -> int:
         return text, _json_item(_step(t, path, rule, bindings, target), show)
 
     # Walk order is sorted order: texts of siblings differ before either ends.
-    term = table.intern(term)
     path = ["" if ns.json else show(term)]  # path[n]: the last output of length n
     lines = path[:]
-    for n, v in Extension(zeta)._walk(term, ns.depth, view, table):
+    for n, v in Extension(zeta)._walk(term, ns.depth, view):
         path[n:] = [path[n - 1] + (v[1] if ns.json else v)]
         lines.append(path[-1])
     if ns.json:

@@ -23,7 +23,6 @@ from .terms import (
     _build_program,
     _instantiate,
     _program,
-    _replace,
     _run as _match,  # the one name every rule match here calls: tests count it
     print_term,
     replace_at,
@@ -151,25 +150,15 @@ def rewrite_at(t: Term, rule: Rule, p: Position) -> RewriteStep | None:
     bindings = _match(rule.program, subterm_at(t, p))
     if bindings is None:
         return None
-    return _fire(t, p.path, rule, bindings, StepLabel(p, rule.label, Substitution.of(bindings)))
+    label = StepLabel(p, rule.label, Substitution.of(bindings))
+    return RewriteStep(t, label, _fire(t, p, rule, bindings))
 
 
-def _fire(t: Term, path: tuple, rule: Rule, bindings: dict, label=None, table=None):
-    """The step that fires `rule` at `path` in `t` with the bindings its
-    match found; `label`, when given, is the equal label to record.
-
-    With a `table` (an `ars._Table`) that holds `t`, only the target is
-    built and returned, through the table: the nodes of the right-hand side
-    the instantiation makes and the nodes on the path are the table's, and
-    every other node is shared with `t`, so the target is the table's node
-    for it, found by identity.  No label or step is made.
-    """
-    rhs = _instantiate(bindings, rule.build, table)
-    if table is not None:
-        return _replace(t, path, rhs, table)
-    if label is None:
-        label = _label(path, rule, bindings)
-    return RewriteStep(t, label, replace_at(t, label.position, rhs))
+def _fire(t: Term, p: Position, rule: Rule, bindings: dict) -> Term:
+    """The target of firing `rule` at `p` in `t` with the bindings its
+    match found.  Only the path to `p` and the right-hand side's own nodes
+    are built; every other node is shared with `t` or the rule."""
+    return replace_at(t, p, _instantiate(bindings, rule.build))
 
 
 def all_redexes(t: Term, rs: RuleSet) -> list[StepLabel]:
@@ -458,4 +447,4 @@ def apply_step(t: Term, label: StepLabel, rs: RuleSet) -> RewriteStep:
             f"recorded bindings {label.subst} disagree with match {found} "
             f"for {label.rule_label} at {label.position} in {print_term(t)}"
         )
-    return _fire(t, label.position.path, rule, bindings, label)
+    return RewriteStep(t, label, _fire(t, label.position, rule, bindings))

@@ -414,13 +414,7 @@ def replace_at(t: Term, p: Position, s: Term) -> Term:
 
     Only the nodes on the path to `p` are rebuilt.
     """
-    return _replace(t, p.path, s)
-
-
-def _replace(t: Term, path: tuple, s: Term, table=None) -> Term:
-    """`replace_at` for a path of child indices.  With a `table` (an
-    `ars._Table`) each rebuilt node is the table's node for it, so the
-    result is the table's node when `t` and `s` are."""
+    path = p.path
     spine = []
     cur = t
     for depth, i in enumerate(path):
@@ -428,9 +422,8 @@ def _replace(t: Term, path: tuple, s: Term, table=None) -> Term:
             raise InvalidPosition(f"no position {Position(path[depth:])} in {cur}")
         spine.append(cur)
         cur = cur.args[i - 1]
-    make = App._unchecked if table is None else table.app
     for node, i in zip(reversed(spine), reversed(path)):
-        s = make(node.symbol, node.args[: i - 1] + (s,) + node.args[i:])
+        s = App._unchecked(node.symbol, node.args[: i - 1] + (s,) + node.args[i:])
     return s
 
 
@@ -526,33 +519,25 @@ def _build_program(t: Term) -> tuple:
     return tuple(ops)
 
 
-def _instantiate(bindings: dict, build: tuple, table=None) -> Term:
+def _instantiate(bindings: dict, build: tuple) -> Term:
     """The term the build program `build` (see `_build_program`) makes
     under `bindings`, a plain dict of names to terms; an unbound variable
     stays itself.
 
     One loop over the program, so the depth of the term is not bounded by
-    the interpreter's recursion limit.  With a `table` (an `ars._Table`)
-    that holds every bound term, each node of the image, the constants and
-    unbound variables included, is the table's node for it: the image is a
-    node of the table, and shares every node the table already holds.  A
-    compiled node the table lacks joins it as itself when its arguments
-    did, so `_Table.intern` keeps the nodes of the term it is given.
+    the interpreter's recursion limit.
     """
-    if table is None and len(build) == 1:  # a variable or a constant, as `u : f(x) => x`
+    if len(build) == 1:  # a variable or a constant, as `u : f(x) => x`
         op = build[0]
         return bindings.get(op.name, op) if type(op) is Var else op
     done = []  # the values made so far
     for op in build:
         if type(op) is Var:
-            image = bindings.get(op.name)
-            if image is None:
-                image = op if table is None else table.leaf(op)
-            done.append(image)
+            done.append(bindings.get(op.name, op))
             continue
         n = len(op.args)
         if not n:
-            done.append(op if table is None else table.leaf(op))
+            done.append(op)
             continue
         if n == 1:
             kids = (done.pop(),)
@@ -561,10 +546,7 @@ def _instantiate(bindings: dict, build: tuple, table=None) -> Term:
             del done[-n:]
             kids.reverse()
             kids = tuple(kids)
-        if table is None:
-            done.append(App._unchecked(op.symbol, kids))
-        else:
-            done.append(table.app(op.symbol, kids, op))
+        done.append(App._unchecked(op.symbol, kids))
     return done[0]
 
 
@@ -582,9 +564,10 @@ def parse_term_tokens(lexer: Lexer, sig: Signature, i: int, reserved=()) -> tupl
     interpreter's recursion limit, with one call of `build` per node.  Each
     application is checked against `sig` when its closing parenthesis has
     been read.  Each constant is built once per read and shared wherever it
-    occurs.  A variable must not be spelled like a name `in reserved`: a
-    reader that holds a theory passes its rule labels, which a proof reads
-    as rules.
+    occurs, so the bottom-up pass, which remembers normal nodes by
+    identity, tries its rules once.  A variable must not be spelled like a
+    name `in reserved`: a reader that holds a theory passes its rule
+    labels, which a proof reads as rules.
     """
     tokens = lexer.tokens
     symbols = sig._by_name

@@ -44,7 +44,6 @@ from termstrat import (
     traced,
 )
 from gen import CYCLE, DUO, PAR, TOWER, brute_derivations, random_ground_term, random_rules
-from termstrat.ars import _Table
 
 
 def t(rex, text):
@@ -322,16 +321,16 @@ class TestBuiltinFiring:
             assert extension(zeta, term, fuel) == extension(replay, term, fuel)
         # Past fuel 3 the sets can grow exponentially.  Both strategies are
         # memoryless, so each set is fixed by the steps each distinct term
-        # expands to: the walk's own expansion (`find`, fired through its table)
-        # must equal the replay's, in order, at every term reachable within
-        # the largest fuel, which checks every fuel at once.
-        table, walk = _Table(), Extension(zeta)._walk
+        # expands to: the walk's own expansion (`find`, fired by value) must
+        # equal the replay's, in order, at every term reachable within the
+        # largest fuel, which checks every fuel at once.
+        walk = Extension(zeta)._walk
         level, reached = [term], {term}
         for _ in range(steps + 3):
             later = []
             for u in level:
                 want = replay._steps(traced(u))
-                assert [step for _, step in walk(table.intern(u), 1, None, table)] == want
+                assert [step for _, step in walk(u, 1)] == want
                 for step in want:
                     if step.target not in reached:
                         reached.add(step.target)
@@ -342,46 +341,22 @@ class TestBuiltinFiring:
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_table_agrees_with_unshared_code(self, rex, peano, data):
-        # The walk's table shares each distinct subterm; judged node by node
-        # against the plain code, which builds and walks each term whole.
+    def test_walk_fires_what_steps_give(self, rex, peano, data):
+        # The walk keys its nodes by value and expands each distinct term
+        # once; judged term by term against `_steps`, which fires each term
+        # on its own.
         th = data.draw(st.sampled_from([rex, peano, TOWER, CYCLE, PAR, DUO]))
         zeta = data.draw(st.sampled_from([all_steps, innermost, rightmost_innermost]))(th.rules)
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         term = random_ground_term(rng, th.signature, data.draw(st.integers(1, 4)))
-        table = _Table()
-        source = table.intern(term)
-        walked = list(Extension(zeta)._walk(source, 3, None, table))
-        expanded = [source] + [step.target for n, step in walked if n < 3]
+        walked = list(Extension(zeta)._walk(term, 3))
+        expanded = [term] + [step.target for n, step in walked if n < 3]
         fired = {}  # id(source) -> {id(step): step}, in the walk's order
         for _, step in walked:
             fired.setdefault(id(step.source), {})[id(step)] = step
+        assert len({id(t) for t in expanded}) == len(set(expanded))  # one object per distinct term
         for t in expanded:
             assert list(fired.get(id(t), {}).values()) == zeta._steps(traced(t))
-        nodes = list(table._nodes.values())
-        assert len(set(nodes)) == len(nodes)  # one node per distinct term
-        held = {id(node) for node in nodes}
-        assert all(id(arg) in held for node in nodes if type(node) is App for arg in node.args)
-        for node in nodes:
-            assert table.intern(parse_term(print_term(node), th.signature)) is node
-            assert table.text(node) == print_term(node)
-
-    def test_table_prints_a_long_text_whole(self, peano):
-        # A text longer than the table keeps below a node is printed whole
-        # when first asked for, and kept for that node; the shorter texts
-        # below it are kept.
-        term = parse_term("s(" * 3000 + "plus(s(0),0)" + ")" * 3000, peano.signature)
-        zeta = all_steps(peano.rules)
-        table = _Table()
-        steps = [step for _, step in Extension(zeta)._walk(table.intern(term), 2, None, table)]
-        assert len(steps) == 2
-        for t in (term, *(step.target for step in steps)):
-            node = table.intern(t)
-            assert table.text(node) == print_term(t)
-            assert table.text(node) is table.text(node)
-        assert len(table._long) == 3
-        kept = [text for text in table._texts.values() if text]
-        assert max(map(len, kept)) <= termstrat.ars._KEPT < len(print_term(term))
 
 
 class TestExtension:

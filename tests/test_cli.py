@@ -16,10 +16,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gen import (
+    CYCLE,
+    DUO,
     REF_EXHAUSTED,
     bfs_reachable,
     brute_derivations,
-    naive_subterms,
     random_ground_term,
     random_pattern,
     random_proof,
@@ -227,11 +228,25 @@ class TestExitCodes:
         )
         assert proc.returncode == 3
 
-    def test_negative_depth(self):
-        proc = run_cli(
-            ["derive", "--file", "docs/rex.trs", "--term", "a", "--depth", "-1"]
-        )
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--term", "a", "--depth", "-1"],
+            ["--term", "plus(0", "--depth", "2"],
+            ["--term", "zap(0)", "--depth", "2"],
+            ["--term", "plus(p0,0)", "--depth", "2"],  # a variable spelled like a rule label
+            ["--term", "plus(0,s(0,0))", "--depth", "2"],
+            ["--file", "docs/no-such.trs", "--term", "a", "--depth", "2"],
+        ],
+        ids=["negative-depth", "unclosed", "undeclared", "label-as-variable", "arity", "missing-file"],
+    )
+    def test_derive_reports_errors_before_output(self, args):
+        # Every error `derive` reports is raised before the walk starts, so
+        # no partial listing comes before its message.
+        proc = run_cli(["derive", "--file", "docs/rex.trs", *args])
         assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "error:" in proc.stderr
 
     def test_normalize_fuel_exhaustion(self, tmp_path):
         grow = tmp_path / "grow.trs"
@@ -349,7 +364,9 @@ class TestDeriveOutput:
     per-derivation formulas applied to the same extension."""
 
     @pytest.mark.parametrize("mode", ["innermost", "rightmost-innermost", "all"])
-    @pytest.mark.parametrize("theory", ["rex", "peano", "prefixes"])
+    # Under CYCLE `comm` brings terms back, and the walk merges them; under
+    # DUO two rules fire at one redex.
+    @pytest.mark.parametrize("theory", ["rex", "peano", "prefixes", "CYCLE", "DUO"])
     def test_equals_per_derivation_printing(self, capsys, tmp_path, theory, mode):
         path = REPO / "docs" / f"{theory}.trs"
         fixed = ()
@@ -357,6 +374,9 @@ class TestDeriveOutput:
             path = tmp_path / "prefixes.trs"
             path.write_text(PREFIXES, encoding="utf-8")
             fixed = PREFIX_TERMS
+        elif theory in ("CYCLE", "DUO"):
+            path = tmp_path / f"{theory}.trs"
+            path.write_text(theory_text({"CYCLE": CYCLE, "DUO": DUO}[theory]), encoding="utf-8")
         th = load_theory(path.read_text(encoding="utf-8"))
         zeta = {"innermost": innermost, "rightmost-innermost": rightmost_innermost}.get(
             mode, all_steps
@@ -386,14 +406,13 @@ class TestDeriveOutput:
         # 4025 derivations, but 133 distinct fired steps (see test_ars.py)
         # and 60 distinct terms: the walk expands each term a derivation
         # shorter than 10 reaches, and reaches no other, from one redex walk
-        # of it.  Its table builds the text of each of their distinct
-        # subterms once; the 18 terms among the bindings `--json` prints
-        # are among those 187.
+        # of it.  Each distinct term printed is printed once: the 60 in text
+        # mode, and with `--json` also the 18 terms among the bindings that
+        # are not among them.
         path = REPO / "docs" / "peano.trs"
         th = load_theory(path.read_text(encoding="utf-8"))
         expanded = bfs_reachable(parse_term(PEANO_10, th.signature), th.rules, 9)
-        subterms = {u for t in expanded for u in naive_subterms(t)}
-        calls = {"_step_text": 0, "_redexes": 0}
+        calls = {"_step_text": 0, "_redexes": 0, "print_term": 0}
 
         def counter(owner, name):
             real = getattr(owner, name)
@@ -406,53 +425,50 @@ class TestDeriveOutput:
 
         counter(termstrat.cli, "_step_text")
         counter(termstrat.ars, "_redexes")
-        tables = spy_tables(monkeypatch)
+        counter(termstrat.cli, "print_term")
         argv = ["derive", "--file", str(path), "--term", PEANO_10]
         assert main([*argv, "--depth", "10", *json_flag]) == 0
         out = capsys.readouterr().out
         assert len(json.loads(out) if json_flag else out.splitlines()) == 4025
         assert calls["_step_text"] == 133
         assert calls["_redexes"] == len(expanded) == 60
-        (table,) = tables
-        assert len(table._texts) == len(subterms) == 187
+        assert calls["print_term"] == (78 if json_flag else 60)
 
-    def test_deep_term_costs_its_rewritten_paths(self, capsys, monkeypatch):
+    def test_deep_term_costs_its_rewritten_paths(self, capsys, monkeypatch, unchecked_builds):
         # Each step of `plus(s^k(0),s^k(0))` rewrites at the root or just
-        # below: the nodes the walk adds past the source's k + 2 do not
-        # grow with k, and neither do the texts it builds.  It expands the
-        # three terms before the last one by a redex walk each, and each
-        # walk visits the whole term, so that work does grow with k.
+        # below: the nodes `derive` builds past the read's 2k + 2, the
+        # theory's included, do not grow with k.  It prints the 4 distinct
+        # terms once each, and expands the three terms before the last one
+        # by a redex walk each; each print and each walk visits the whole
+        # term, so that work is O(k), as each of the 4 output lines is.
         path = str(REPO / "docs" / "peano.trs")
-        real = termstrat.ars._redexes
+        real_walk, real_print = termstrat.ars._redexes, termstrat.cli.print_term
         added = []
         for k in (50, 500):
-            walks = [0]
+            calls = {"walks": 0, "prints": 0}
 
-            def counted(*args, **kwargs):
-                walks[0] += 1
-                return real(*args, **kwargs)
+            def walked(*args, **kwargs):
+                calls["walks"] += 1
+                return real_walk(*args, **kwargs)
 
-            monkeypatch.setattr(termstrat.ars, "_redexes", counted)
-            tables = spy_tables(monkeypatch)
+            def printed(t):
+                calls["prints"] += 1
+                return real_print(t)
+
+            monkeypatch.setattr(termstrat.ars, "_redexes", walked)
+            monkeypatch.setattr(termstrat.cli, "print_term", printed)
+            unchecked_builds[0] = 0
             num = "s(" * k + "0" + ")" * k
             assert main(["derive", "--file", path, "--term", f"plus({num},{num})", "--depth", "3"]) == 0
             assert len(capsys.readouterr().out.splitlines()) == 4
-            (table,) = tables
-            added.append((len(table._nodes) - (k + 2), len(table._texts) - (k + 2), walks[0]))
-        assert added[0] == added[1] == (9, 9, 3)
+            added.append((unchecked_builds[0] - (2 * k + 2), calls["prints"], calls["walks"]))
+        assert added[0] == added[1] == (15, 4, 3)
 
 
-def spy_tables(monkeypatch) -> list:
-    """The `_Table`s `derive` makes from now on, in a list."""
-    tables = []
-
-    class Table(termstrat.ars._Table):
-        def __init__(self):
-            super().__init__()
-            tables.append(self)
-
-    monkeypatch.setattr(termstrat.cli, "_Table", Table)
-    return tables
+def theory_text(th) -> str:
+    """The text of a theory file that loads as `th`."""
+    rules = "".join(f"rule {r.label} : {print_term(r.lhs)} => {print_term(r.rhs)}\n" for r in th.rules)
+    return f"sig {' '.join(map(str, th.signature))}\n{rules}"
 
 
 class TestDirectEntry:

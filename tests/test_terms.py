@@ -469,7 +469,7 @@ class TestParsePrint:
     @pytest.mark.parametrize("n", [50, 500])
     def test_constants_are_shared_per_read(self, rex, unchecked_builds, n):
         # plus, the 2n s nodes and one 0: a constant is built once per read
-        # and shared, so a table that interns the term keeps its nodes.
+        # and shared, so the bottom-up pass meets each constant as one node.
         num = "s(" * n + "0" + ")" * n
         term = t(rex, f"plus({num},{num})")
         assert unchecked_builds[0] == 2 * n + 2
